@@ -2,7 +2,7 @@
 
    Regenerates every table/figure of the paper (see DESIGN.md section 5
    for the experiment index) and then times the computational kernels
-   with Bechamel (one Test.make per experiment).
+   (one timed kernel per experiment).
 
    Run with: dune exec bench/main.exe
    First run trains the perception network and caches it under _cache/. *)
@@ -42,6 +42,7 @@ module Risk = Dpv_spec.Risk
 module Rng = Dpv_tensor.Rng
 module Vec = Dpv_tensor.Vec
 module Stats = Dpv_tensor.Stats
+module Mclock = Dpv_obs.Mclock
 
 let section title =
   Format.printf "@.%s@.%s@." title (String.make (String.length title) '=')
@@ -600,7 +601,6 @@ let ext4 mlp_prepared =
    the machine-readable BENCH_milp.json so later changes can be checked
    against this baseline.                                              *)
 
-module Milp_par = Dpv_linprog.Milp_par
 module Clock = Dpv_linprog.Clock
 
 let bench_json_path = "BENCH_milp.json"
@@ -784,23 +784,23 @@ let fault_injection_bench () =
     (r, Clock.now_s () -. started)
   in
   let (_, clean_stats), clean_s =
-    timed (fun () -> Milp_par.solve_with_stats ~options model)
+    timed (fun () -> Milp.solve_with_stats ~options model)
   in
   ignore clean_stats;
   let (_, fb_stats), fallback_s =
     Fun.protect ~finally:Faults.disable (fun () ->
         Faults.configure ~seed:7 [ (Faults.Pivot_corrupt, 1) ];
-        timed (fun () -> Milp_par.solve_with_stats ~options model))
+        timed (fun () -> Milp.solve_with_stats ~options model))
   in
   let retries = ref 0 in
   let (_, _), retry_s =
     Fun.protect ~finally:Faults.disable (fun () ->
         Faults.configure ~seed:7 [ (Faults.Lp_trouble, 1) ];
         timed (fun () ->
-            try Milp_par.solve_with_stats ~options model
+            try Milp.solve_with_stats ~options model
             with Dpv_linprog.Simplex.Numerical_trouble _ ->
               incr retries;
-              Milp_par.solve_with_stats
+              Milp.solve_with_stats
                 ~options:{ options with Milp.lp_dense = true }
                 model))
   in
@@ -1451,7 +1451,7 @@ let ext5 prepared =
   in
   let hard_started = Clock.now_s () in
   let hard_result, hard_stats =
-    Milp_par.solve_with_stats ~options:hard_options hard
+    Milp.solve_with_stats ~options:hard_options hard
   in
   let hard_wall = Clock.now_s () -. hard_started in
   Format.printf "%s@."
@@ -1625,10 +1625,9 @@ let ext7 prepared =
   (whole, merged)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel timing benches: one Test.make per experiment kernel.       *)
+(* Timing benches: one timed kernel per experiment.                    *)
 
-let bechamel_suite prepared =
-  let open Bechamel in
+let timing_kernels prepared =
   let setup = prepared.Workflow.setup in
   let perception = prepared.Workflow.perception in
   let features = prepared.Workflow.bounds_features in
@@ -1648,88 +1647,87 @@ let bechamel_suite prepared =
   let image = Generator.render_scene setup.Workflow.scenario scene_rng scene in
   let image_box = Workflow.image_box prepared in
   let milp_options = { Milp.default_options with find_first = true } in
-  Test.make_grouped ~name:"dpv"
-    [
-      Test.make ~name:"fig1_workflow/box-fit"
-        (Staged.stage (fun () -> ignore (Box_monitor.fit features)));
-      Test.make ~name:"tab1_statistical/decide-frame"
-        (Staged.stage (fun () ->
-             ignore
-               (Characterizer.decide_image characterizer ~perception image)));
-      Test.make ~name:"e1_far_left/milp-solve"
-        (Staged.stage (fun () ->
-             ignore (Milp.solve ~options:milp_options encoding.Encode.model)));
-      Test.make ~name:"e2_straight/encode"
-        (Staged.stage (fun () ->
-             ignore
-               (Encode.build ~suffix ~head:characterizer.Characterizer.head
-                  ~feature_box ~psi:(Workflow.psi_steer_straight ()) ())));
-      Test.make ~name:"e3_bottleneck/feature-extract"
-        (Staged.stage (fun () ->
-             ignore (Network.forward_upto perception ~cut:setup.Workflow.cut image)));
-      Test.make ~name:"e4_scalability/box-propagate-prefix"
-        (Staged.stage (fun () ->
-             ignore (Box_domain.propagate_all perception image_box)));
-      Test.make ~name:"e5_bounds/zonotope-propagate-prefix"
-        (Staged.stage (fun () ->
-             ignore (Zonotope.propagate_all perception (Zonotope.of_box image_box))));
-      Test.make ~name:"e6_guarantee/table-estimate"
-        (Staged.stage (fun () ->
-             ignore
-               (Statistical.estimate ~characterizer ~perception
-                  ~images:[| image |] ~ground_truth:[| 1.0 |])));
-      Test.make ~name:"e7_monitor/octagon-check"
-        (Staged.stage (fun () -> ignore (Polyhedron.contains poly features.(0))));
-      Test.make ~name:"ext1_obbt/tighten-box"
-        (Staged.stage (fun () ->
-             ignore
-               (Tighten.feature_box ~suffix
-                  ~head:characterizer.Characterizer.head ~feature_box ())));
-      Test.make ~name:"ext3_attack/pgd-loss"
-        (Staged.stage (fun () ->
-             ignore
-               (Attack.attack_loss ~perception
-                  ~characterizer ~psi:(Workflow.psi_steer_straight ())
-                  Attack.default_config image)));
-      Test.make ~name:"substrate/render-frame"
-        (Staged.stage (fun () ->
-             ignore (Generator.render_scene setup.Workflow.scenario scene_rng scene)));
-      Test.make ~name:"substrate/forward-full"
-        (Staged.stage (fun () -> ignore (Network.forward perception image)));
-    ]
+  [
+    ("fig1_workflow/box-fit", fun () -> ignore (Box_monitor.fit features));
+    ( "tab1_statistical/decide-frame",
+      fun () ->
+        ignore (Characterizer.decide_image characterizer ~perception image) );
+    ( "e1_far_left/milp-solve",
+      fun () -> ignore (Milp.solve ~options:milp_options encoding.Encode.model) );
+    ( "e2_straight/encode",
+      fun () ->
+        ignore
+          (Encode.build ~suffix ~head:characterizer.Characterizer.head
+             ~feature_box ~psi:(Workflow.psi_steer_straight ()) ()) );
+    ( "e3_bottleneck/feature-extract",
+      fun () ->
+        ignore (Network.forward_upto perception ~cut:setup.Workflow.cut image) );
+    ( "e4_scalability/box-propagate-prefix",
+      fun () -> ignore (Box_domain.propagate_all perception image_box) );
+    ( "e5_bounds/zonotope-propagate-prefix",
+      fun () ->
+        ignore (Zonotope.propagate_all perception (Zonotope.of_box image_box)) );
+    ( "e6_guarantee/table-estimate",
+      fun () ->
+        ignore
+          (Statistical.estimate ~characterizer ~perception ~images:[| image |]
+             ~ground_truth:[| 1.0 |]) );
+    ( "e7_monitor/octagon-check",
+      fun () -> ignore (Polyhedron.contains poly features.(0)) );
+    ( "ext1_obbt/tighten-box",
+      fun () ->
+        ignore
+          (Tighten.feature_box ~suffix ~head:characterizer.Characterizer.head
+             ~feature_box ()) );
+    ( "ext3_attack/pgd-loss",
+      fun () ->
+        ignore
+          (Attack.attack_loss ~perception ~characterizer
+             ~psi:(Workflow.psi_steer_straight ()) Attack.default_config image)
+    );
+    ( "substrate/render-frame",
+      fun () ->
+        ignore (Generator.render_scene setup.Workflow.scenario scene_rng scene) );
+    ( "substrate/forward-full",
+      fun () -> ignore (Network.forward perception image) );
+  ]
 
-let run_bechamel prepared =
-  section "Timing benches (Bechamel; one per experiment kernel)";
-  let open Bechamel in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  let raw = Benchmark.all cfg instances (bechamel_suite prepared) in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
+(* Median wall time of one call, over up to [max_runs] timed calls
+   within a [quota_ns] budget (at least one call, after one untimed
+   warm-up).  Each call is timed on its own, so kernels far below a
+   microsecond also carry the clock-read overhead. *)
+let median_ns_per_run ?(max_runs = 2000) ?(quota_ns = 500_000_000) f =
+  f ();
+  let samples = Array.make max_runs 0 in
+  let started = Mclock.now_ns () in
+  let runs = ref 0 in
+  while
+    !runs < max_runs && (!runs = 0 || Mclock.now_ns () - started < quota_ns)
+  do
+    let t0 = Mclock.now_ns () in
+    f ();
+    samples.(!runs) <- Mclock.now_ns () - t0;
+    incr runs
+  done;
+  let sorted = Array.sub samples 0 !runs in
+  Array.sort compare sorted;
+  float_of_int sorted.(!runs / 2)
+
+let run_timing prepared =
+  section "Timing benches (median wall time per run; one per experiment kernel)";
   Format.printf "%s@." (row [ "kernel"; "time/run" ]);
   Format.printf "%s@." (Report.rule ());
-  let rows = ref [] in
-  Hashtbl.iter (fun name ols_result -> rows := (name, ols_result) :: !rows) results;
   List.iter
-    (fun (name, ols_result) ->
-      let ns =
-        match Analyze.OLS.estimates ols_result with
-        | Some [ est ] -> est
-        | Some _ | None -> nan
-      in
+    (fun (name, kernel) ->
+      let ns = median_ns_per_run kernel in
       let pretty =
-        if Float.is_nan ns then "n/a"
-        else if ns >= 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
+        if ns >= 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
         else if ns >= 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
         else if ns >= 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
         else Printf.sprintf "%.0f ns" ns
       in
       Format.printf "%s@." (row [ name; pretty ]))
-    (List.sort compare !rows)
+    (timing_kernels prepared)
 
 (* ------------------------------------------------------------------ *)
 (* Smoke mode: a network-free bench for CI.  Synthetic MILPs exercise
@@ -1758,7 +1756,7 @@ let run_smoke () =
           (fun workers ->
             let options = { Milp.default_options with workers } in
             let started = Clock.now_s () in
-            let result, stats = Milp_par.solve_with_stats ~options model in
+            let result, stats = Milp.solve_with_stats ~options model in
             let wall = Clock.now_s () -. started in
             let q =
               {
@@ -1795,7 +1793,7 @@ let run_smoke () =
   in
   let hard_started = Clock.now_s () in
   let hard_result, hard_stats =
-    Milp_par.solve_with_stats ~options:hard_options hard
+    Milp.solve_with_stats ~options:hard_options hard
   in
   let hard_wall = Clock.now_s () -. hard_started in
   Format.printf "%s@."
@@ -1846,7 +1844,7 @@ let sections : (string * (Workflow.prepared -> unit)) list =
       fun _ ->
         ignore (ext9_incremental_bench ());
         ignore (absint_microbench ()) );
-    ("bechamel", run_bechamel);
+    ("timing", run_timing);
   ]
 
 let () =

@@ -161,7 +161,7 @@ let with_obs ~trace ~metrics f =
 
 let milp_options_of ~workers ~timeout_s =
   let workers =
-    if workers <= 0 then Dpv_linprog.Milp_par.default_workers () else workers
+    if workers <= 0 then Dpv_linprog.Milp.default_workers () else workers
   in
   {
     Dpv_linprog.Milp.default_options with

@@ -23,7 +23,7 @@
 
     {2 Incrementality}
 
-    Each instance (one per solver, one per worker in [Milp_par]) keeps
+    Each instance (one per branch-and-bound worker) keeps
     a {!Dpv_absint.Deeppoly.Resumable} stack of per-layer states keyed
     by the node's phase-fixing prefix.  B&B fixings grow monotonically
     down the tree, so consecutive nodes of a DFS subtree batch share

@@ -3,7 +3,6 @@ module Generator = Dpv_scenario.Generator
 module Camera = Dpv_scenario.Camera
 module Propagate = Dpv_absint.Propagate
 module Milp = Dpv_linprog.Milp
-module Milp_par = Dpv_linprog.Milp_par
 
 (* Internal control flow only; both entry points catch it and return
    [Error].  Callers never see the exception. *)
@@ -149,7 +148,7 @@ let parse spec =
 
 let milp_options ?(branch_rule = Milp.default_options.Milp.branch_rule) p =
   let workers =
-    if p.workers <= 0 then Milp_par.default_workers () else p.workers
+    if p.workers <= 0 then Milp.default_workers () else p.workers
   in
   {
     Milp.default_options with

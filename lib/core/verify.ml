@@ -1,6 +1,5 @@
 module Lp = Dpv_linprog.Lp
 module Milp = Dpv_linprog.Milp
-module Milp_par = Dpv_linprog.Milp_par
 module Clock = Dpv_linprog.Clock
 module Network = Dpv_nn.Network
 module Layer = Dpv_nn.Layer
@@ -93,7 +92,7 @@ let run_query ?(milp_options = default_milp_options) ?(absint = false)
       { milp_options with Milp.absint = Some guide }
   in
   let milp_result, milp_stats =
-    Milp_par.solve_with_stats ~options:milp_options encoding.Encode.model
+    Milp.solve_with_stats ~options:milp_options encoding.Encode.model
   in
   let wall_time_s = Clock.now_s () -. started in
   let verdict =
@@ -451,7 +450,7 @@ let optimize_output ?(milp_options = { Milp.default_options with find_first = fa
     match sense with `Maximize -> Lp.Maximize | `Minimize -> Lp.Minimize
   in
   let encoding = Encode.set_output_objective encoding ~sense:lp_sense objective in
-  match Milp_par.solve ~options:milp_options encoding.Encode.model with
+  match Milp.solve ~options:milp_options encoding.Encode.model with
   | Milp.Infeasible ->
       Error "characterizer never fires inside S (query infeasible)"
   | Milp.Unbounded -> Error "objective unbounded over S"

@@ -164,7 +164,7 @@ val verify :
 
     [milp_options] controls the solver: [workers > 1] searches the
     branch-and-bound tree across that many domains
-    ({!Dpv_linprog.Milp_par}), and [time_limit_s] imposes a wall-clock
+    ({!Dpv_linprog.Milp.solve}), and [time_limit_s] imposes a wall-clock
     deadline — an expired query returns [Unknown "deadline exceeded"]
     (the paper's UNKNOWN verdict) instead of spinning to the node cap.
     [time_limit_s] is a budget for the {e whole} call: one deadline is

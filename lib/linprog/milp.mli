@@ -4,9 +4,10 @@
     big-M ReLU encodings where the integer variables are the binary
     phase indicators.  Also solves general small MILPs.
 
-    This module is the sequential solver; {!Milp_par} runs the same
-    search across several domains and falls back to this code when a
-    single worker is requested. *)
+    There is one node loop: a depth-first search of a subtree on a
+    local stack.  With [options.workers = 1] it runs once over the whole
+    tree on the calling domain; with more workers it runs as batched
+    subtree tasks on a work-stealing {!Pool} that shares one incumbent. *)
 
 type result =
   | Optimal of { objective : float; solution : float array }
@@ -141,14 +142,12 @@ type guide_stats = {
     guides. *)
 
 val empty_guide_stats : guide_stats
-val sub_guide_stats : guide_stats -> guide_stats -> guide_stats
 
 type guide_factory = {
   new_guide : unit -> guide;
       (** a fresh guide instance.  Instances may carry mutable
           propagation caches, so each is confined to the solver thread
-          that requested it: the sequential solver makes one per solve,
-          {!Milp_par} one per worker domain. *)
+          that requested it: a solve makes one per worker domain. *)
   guide_stats : unit -> guide_stats;
       (** counters aggregated over every instance this factory created.
           Solvers snapshot before and after a search and record the
@@ -170,16 +169,19 @@ type options = {
                             the natural mode for feasibility queries.
                             Incumbents are reported as {!Feasible}
                             (never {!Optimal}) in this mode *)
-  workers : int;        (** domains for {!Milp_par}; this module ignores
-                            any value except to assert it is positive *)
-  task_batch : int;     (** nodes a {!Milp_par} pool task explores
-                            depth-first before handing leftover subtrees
-                            back to the pool (default 32; values < 1
-                            clamp to 1, which restores one-node tasks).
-                            Batching amortizes per-task pool overhead
-                            and keeps consecutive node LPs on the same
-                            worker handle's warm basis; this sequential
-                            module ignores it — its DFS is already one
+  workers : int;        (** search domains; must be at least 1 ({!solve}
+                            raises [Invalid_argument] otherwise).  [1]
+                            searches on the calling domain with no pool
+                            at all *)
+  task_batch : int;     (** with [workers > 1], the node LPs one pool
+                            task explores depth-first before handing
+                            leftover subtrees back to the pool (default
+                            32; values < 1 clamp to 1, which restores
+                            one-node tasks).  Batching amortizes
+                            per-task pool overhead and keeps
+                            consecutive node LPs on the same worker
+                            handle's warm basis.  Unused at
+                            [workers = 1], where the whole tree is one
                             unbroken batch *)
   time_limit_s : float option;
       (** wall-clock budget; [None] never expires.  Measured on a
@@ -200,7 +202,7 @@ type options = {
 
 val default_options : options
 (** [{ max_nodes = 200_000; int_tol = 1e-6; find_first = false;
-      workers = 1; time_limit_s = None; lp_dense = false;
+      workers = 1; task_batch = 32; time_limit_s = None; lp_dense = false;
       absint = None; branch_rule = Most_fractional }] *)
 
 val find_branch_var : tol:float -> Lp.t -> float array -> Lp.var option
@@ -208,41 +210,39 @@ val find_branch_var : tol:float -> Lp.t -> float array -> Lp.var option
     variable index (deterministically, so sequential and parallel runs
     branch identically on identical relaxations). *)
 
-val find_branch_var_widest :
-  tol:float -> Lp.t -> float array -> (Lp.var * float) list -> Lp.var option
-(** [Bound_width] selection: the fractional integer variable with the
-    largest width score, ties toward the lowest index; falls back to
-    {!find_branch_var} when no fractional variable was scored. *)
-
-val find_branch_var_ordered :
-  tol:float -> Lp.t -> float array -> (Lp.var * float) list -> Lp.var option
-(** [Guide_order] selection: the last fractional variable in the
-    guide's width list (network layer order, so the deepest crossing
-    binary); falls back to {!find_branch_var} when no fractional
-    variable was scored. *)
-
-val round_integral : tol:float -> Lp.t -> float array -> float array
-(** Snap near-integral integer variables of a relaxation solution to
-    exact integers before reporting it as an incumbent. *)
-
-val branch_children : Lp.t -> Lp.var -> float -> Lp.t * Lp.t
-(** [branch_children node v x] splits [node] at the fractional value
-    [x] of [v] into (preferred, other) child subproblems — preferred is
-    the branch nearer [x], which tends to reach integer-feasible points
-    sooner.  Shared by the sequential and parallel tree searches. *)
-
-val record_metrics : stats -> unit
-(** Fold a finished [stats] record into the global {!Dpv_obs.Metrics}
-    registry ([milp.*] counters, the [milp.max_queue_depth] high-water
-    gauge and the [simplex.*] counters).  Called automatically at the
-    end of every solve (sequential here, parallel in {!Milp_par}); the
-    fold-at-end design keeps the hot loop free of atomic traffic and
-    makes the campaign-level metric totals equal the sum of per-query
-    stats exactly. *)
-
-val observe_lp_s : float -> unit
-(** Record one node-LP wall time (seconds) into the [milp.lp_solve_ns]
-    latency histogram; shared with {!Milp_par}. *)
+val default_workers : unit -> int
+(** [Domain.recommended_domain_count () - 1], floored at 1: leave one
+    core for the rest of the process, never go below sequential. *)
 
 val solve : ?options:options -> Lp.t -> result
 val solve_with_stats : ?options:options -> Lp.t -> result * stats
+(** Branch-and-bound over [options.workers] domains.
+
+    Every worker runs the same depth-first node loop, preferred child
+    first (the branch nearer the relaxation's fractional value).  With
+    [workers = 1] that loop is called once on the root: one warm simplex
+    handle, one guide instance, no {!Pool}, and a deterministic
+    traversal — the mode the pinned counters in the tests rely on.
+    [max_queue_depth] is then the high-water mark of the DFS stack,
+    counting the root as 1.
+
+    With [workers > 1] the loop runs as pool tasks that each dive for
+    up to [options.task_batch] node LPs, spilling their shallowest open
+    subtrees back to the pool for thieves and re-enqueueing the rest
+    when the budget runs out.  Workers share a single incumbent: any
+    worker that finds a better integer-feasible point publishes it,
+    and every worker prunes against it.  Exploration order differs from
+    the one-worker run, but the answer does not: optimality and
+    infeasibility proofs exhaust the same tree, so objective values and
+    Infeasible/Timeout classifications agree (witness solutions may
+    differ between equally-optimal points).  [max_queue_depth] is the
+    deepest pool deque.
+
+    Node budgets ([max_nodes]) and wall-clock deadlines
+    ([time_limit_s]) are enforced globally across workers.  Each
+    finished solve folds its [stats] into the global {!Dpv_obs.Metrics}
+    registry ([milp.*], [simplex.*] and [absint.*] counters, the
+    [milp.max_queue_depth] gauge) and every node LP's wall time into the
+    [milp.lp_solve_ns] histogram.
+
+    @raise Invalid_argument if [options.workers < 1]. *)

@@ -17,7 +17,6 @@
 
 module Lp = Dpv_linprog.Lp
 module Milp = Dpv_linprog.Milp
-module Milp_par = Dpv_linprog.Milp_par
 module Faults = Dpv_linprog.Faults
 module Interval = Dpv_absint.Interval
 module Deeppoly = Dpv_absint.Deeppoly
@@ -112,7 +111,7 @@ let test_nonroot_unbounded_truncates_parallel () =
   with_faults [ (Faults.Lp_unbounded, 2) ] @@ fun () ->
   let model = branching_model () in
   let options = { Milp.default_options with workers = 2 } in
-  match Milp_par.solve ~options model with
+  match Milp.solve ~options model with
   | Milp.Feasible { objective; solution } ->
       check_float "sibling incumbent survives" 1.0 objective;
       Alcotest.(check bool) "incumbent is feasible" true
@@ -600,13 +599,15 @@ let deep_psi_of ?(blend = 0.5) perception =
 
 let deep_psi = deep_psi_of deep_perception
 
-let guided_verify ?(workers = 1) ?(scratch = false) () =
+let guided_verify ?(workers = 1) ?(branch_rule = Milp.Most_fractional)
+    ?(scratch = false) () =
   Fun.protect
     ~finally:(fun () -> Absguide.set_scratch false)
     (fun () ->
       Absguide.set_scratch scratch;
       Verify.verify ~absint:true
-        ~milp_options:{ Verify.default_milp_options with Milp.workers }
+        ~milp_options:
+          { Verify.default_milp_options with Milp.workers; branch_rule }
         ~perception:deep_perception ~characterizer:deep_characterizer
         ~psi:deep_psi ~bounds:deep_bounds ())
 

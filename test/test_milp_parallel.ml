@@ -1,9 +1,9 @@
-(* Sequential/parallel branch-and-bound agreement, deadline handling,
-   and deterministic branching. *)
+(* One-worker/multi-worker branch-and-bound agreement, deadline
+   handling, deterministic branching, and the one-worker search pinned
+   to recorded counters. *)
 
 module Lp = Dpv_linprog.Lp
 module Milp = Dpv_linprog.Milp
-module Milp_par = Dpv_linprog.Milp_par
 module Clock = Dpv_linprog.Clock
 module Pool = Dpv_linprog.Pool
 module Rng = Dpv_tensor.Rng
@@ -71,8 +71,8 @@ let test_parallel_agrees_on_random_milps () =
   let rng = Rng.create 20260807 in
   for _ = 1 to 40 do
     let model = random_milp rng in
-    let seq, _ = Milp_par.solve_with_stats ~options:seq_options model in
-    let par, _ = Milp_par.solve_with_stats ~options:par_options model in
+    let seq, _ = Milp.solve_with_stats ~options:seq_options model in
+    let par, _ = Milp.solve_with_stats ~options:par_options model in
     Alcotest.(check string)
       "classification agrees" (classification seq) (classification par);
     match (seq, par) with
@@ -92,11 +92,11 @@ let test_task_batch_sizes_agree () =
   let rng = Rng.create 4242 in
   for _ = 1 to 25 do
     let model = random_milp rng in
-    let seq, _ = Milp_par.solve_with_stats ~options:seq_options model in
+    let seq, _ = Milp.solve_with_stats ~options:seq_options model in
     List.iter
       (fun task_batch ->
         let options = { par_options with Milp.task_batch } in
-        let par, stats = Milp_par.solve_with_stats ~options model in
+        let par, stats = Milp.solve_with_stats ~options model in
         let label = Printf.sprintf "task_batch=%d" task_batch in
         Alcotest.(check string)
           (label ^ ": classification agrees")
@@ -121,11 +121,11 @@ let test_task_batch_infeasible_proof () =
   (* An exhaustive infeasibility proof must visit the same tree no
      matter how nodes are grouped into batches. *)
   let model = hard_infeasible_model 10 in
-  let _, seq_stats = Milp_par.solve_with_stats ~options:seq_options model in
+  let _, seq_stats = Milp.solve_with_stats ~options:seq_options model in
   List.iter
     (fun task_batch ->
       let options = { par_options with Milp.task_batch } in
-      let result, stats = Milp_par.solve_with_stats ~options model in
+      let result, stats = Milp.solve_with_stats ~options model in
       Alcotest.(check string) "proved infeasible" "infeasible"
         (classification result);
       Alcotest.(check int)
@@ -139,8 +139,8 @@ let test_parallel_find_first_agrees () =
   let options_par = { par_options with Milp.find_first = true } in
   for _ = 1 to 25 do
     let model = random_milp rng in
-    let seq = Milp_par.solve ~options:options_seq model in
-    let par = Milp_par.solve ~options:options_par model in
+    let seq = Milp.solve ~options:options_seq model in
+    let par = Milp.solve ~options:options_par model in
     Alcotest.(check string)
       "feasibility classification agrees"
       (classification seq) (classification par)
@@ -151,26 +151,26 @@ let test_parallel_infeasible () =
   let m = Lp.create () in
   let m, x = Lp.add_var ~kind:Lp.Binary m in
   let m = Lp.add_constraint m [ (2.0, x) ] Lp.Eq 1.0 in
-  (match Milp_par.solve ~options:par_options m with
+  (match Milp.solve ~options:par_options m with
   | Milp.Infeasible -> ()
   | r -> Alcotest.failf "expected infeasible, got %s" (classification r))
 
-let test_sequential_fallback_is_sequential () =
-  (* workers = 1 must produce the sequential solver's exact stats shape:
-     one worker slot, zero steals. *)
+let test_workers_below_one_rejected () =
   let m = Lp.create () in
   let m, x = Lp.add_var ~lo:0.0 ~up:10.0 ~kind:Lp.Integer m in
   let m = Lp.set_objective m Lp.Maximize [ (1.0, x) ] in
-  let _, stats = Milp_par.solve_with_stats ~options:seq_options m in
-  Alcotest.(check int) "one worker slot" 1
-    (Array.length stats.Milp.per_worker_nodes);
-  Alcotest.(check int) "no steals" 0 stats.Milp.steals;
-  Alcotest.(check int) "per-worker sums to total" stats.Milp.nodes_explored
-    stats.Milp.per_worker_nodes.(0)
+  List.iter
+    (fun workers ->
+      match Milp.solve ~options:{ Milp.default_options with workers } m with
+      | exception Invalid_argument _ -> ()
+      | r ->
+          Alcotest.failf "workers=%d: expected Invalid_argument, got %s"
+            workers (classification r))
+    [ 0; -1 ]
 
 let test_parallel_stats_accounting () =
   let model = hard_infeasible_model 12 in (* finishes: 2^12 tree is fine *)
-  let result, stats = Milp_par.solve_with_stats ~options:par_options model in
+  let result, stats = Milp.solve_with_stats ~options:par_options model in
   Alcotest.(check string) "still infeasible" "infeasible"
     (classification result);
   Alcotest.(check int) "4 worker slots" 4
@@ -187,7 +187,7 @@ let test_deadline_returns_timeout_sequential () =
     { seq_options with Milp.max_nodes = max_int; time_limit_s = Some 0.25 }
   in
   let started = Clock.now_s () in
-  match Milp_par.solve ~options (hard_model ()) with
+  match Milp.solve ~options (hard_model ()) with
   | Milp.Timeout ->
       let elapsed = Clock.now_s () -. started in
       Alcotest.(check bool) "stopped near the deadline" true (elapsed < 5.0)
@@ -198,7 +198,7 @@ let test_deadline_returns_timeout_parallel () =
     { par_options with Milp.max_nodes = max_int; time_limit_s = Some 0.25 }
   in
   let started = Clock.now_s () in
-  match Milp_par.solve ~options (hard_model ()) with
+  match Milp.solve ~options (hard_model ()) with
   | Milp.Timeout ->
       let elapsed = Clock.now_s () -. started in
       Alcotest.(check bool) "stopped near the deadline" true (elapsed < 5.0)
@@ -206,7 +206,7 @@ let test_deadline_returns_timeout_parallel () =
 
 let test_node_limit_still_reported () =
   let options = { par_options with Milp.max_nodes = 50 } in
-  match Milp_par.solve ~options (hard_model ()) with
+  match Milp.solve ~options (hard_model ()) with
   | Milp.Node_limit -> ()
   | r -> Alcotest.failf "expected node-limit, got %s" (classification r)
 
@@ -252,7 +252,7 @@ let test_truncated_incumbent_feasible_parallel () =
   let model = hard_incumbent_model 24 in
   let options = { par_options with Milp.max_nodes = 400 } in
   expect_feasible_11 ~label:"par node limit" model
-    (Milp_par.solve ~options model)
+    (Milp.solve ~options model)
 
 let test_deadline_incumbent_feasible () =
   let model = hard_incumbent_model 24 in
@@ -308,6 +308,57 @@ let test_pool_processes_whole_tree () =
   Alcotest.(check int) "work accounted" 2047
     (Array.fold_left ( + ) 0 stats.Pool.per_worker_tasks)
 
+(* The one-worker search is deterministic, so its counters are pinned
+   to values recorded from the sequential solver before the two node
+   loops were merged: a change to traversal order, child order,
+   pruning, guide protocol or warm-start behaviour shows up here as an
+   exact mismatch.  Fields: nodes, LPs, pivots, max_queue_depth. *)
+let check_counters label (n, l, p, d) (s : Milp.stats) =
+  Alcotest.(check (list int))
+    (label ^ ": nodes/lps/pivots/max_queue_depth")
+    [ n; l; p; d ]
+    [ s.Milp.nodes_explored; s.Milp.lp_solved; s.Milp.pivots;
+      s.Milp.max_queue_depth ];
+  Alcotest.(check (array int)) (label ^ ": one worker slot holds every node")
+    [| s.Milp.nodes_explored |] s.Milp.per_worker_nodes;
+  Alcotest.(check int) (label ^ ": no steals") 0 s.Milp.steals
+
+let test_one_worker_recorded_counters () =
+  let result, stats =
+    Milp.solve_with_stats ~options:seq_options (hard_infeasible_model 10)
+  in
+  Alcotest.(check string) "subset-sum 10: infeasible" "infeasible"
+    (classification result);
+  check_counters "subset-sum 10" (923, 923, 535, 6) stats;
+  let model = hard_incumbent_model 24 in
+  let result, stats =
+    Milp.solve_with_stats
+      ~options:{ seq_options with Milp.max_nodes = 200 }
+      model
+  in
+  check_counters "incumbent 24" (200, 200, 211, 14) stats;
+  (match result with
+  | Milp.Feasible { objective; solution } ->
+      check_float "incumbent 24: objective" 11.0 objective;
+      (* The dive sets the first 11 binaries and zeroes the rest. *)
+      Alcotest.(check (array (float 0.0)))
+        "incumbent 24: witness"
+        (Array.init 24 (fun i -> if i < 11 then 1.0 else 0.0))
+        solution
+  | r -> Alcotest.failf "incumbent 24: expected feasible, got %s"
+           (classification r));
+  List.iter
+    (fun (label, branch_rule, counters) ->
+      let r = Test_absint_guided.guided_verify ~branch_rule () in
+      Alcotest.(check string) (label ^ ": verdict") "safe"
+        (Test_absint_guided.verdict_word r.Dpv_core.Verify.verdict);
+      check_counters label counters r.Dpv_core.Verify.milp_stats)
+    [
+      ("guided most-fractional", Milp.Most_fractional, (12, 12, 59, 4));
+      ("guided bound-width", Milp.Bound_width, (3, 3, 33, 2));
+      ("guided guide-order", Milp.Guide_order, (17, 17, 73, 4));
+    ]
+
 let tests =
   [
     Alcotest.test_case "pool processes whole tree" `Quick
@@ -322,8 +373,10 @@ let tests =
       test_task_batch_infeasible_proof;
     Alcotest.test_case "parallel proves infeasibility" `Quick
       test_parallel_infeasible;
-    Alcotest.test_case "workers=1 is the sequential solver" `Quick
-      test_sequential_fallback_is_sequential;
+    Alcotest.test_case "workers=1 matches recorded counters" `Quick
+      test_one_worker_recorded_counters;
+    Alcotest.test_case "workers < 1 is rejected" `Quick
+      test_workers_below_one_rejected;
     Alcotest.test_case "parallel stats accounting" `Quick
       test_parallel_stats_accounting;
     Alcotest.test_case "deadline -> Timeout (sequential)" `Quick

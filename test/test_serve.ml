@@ -570,7 +570,11 @@ let test_serve_backpressure_and_duplicates () =
     (finished_code outcome2)
 
 let test_serve_deadline_spent_in_queue () =
-  with_server @@ fun _server ~sock ~state_dir:_ ->
+  (* Hold execution well past the 1 ms deadline, so it has always
+     passed by the time the budget is carved, however fast the job
+     reaches the executor. *)
+  with_server ~before_execute:(fun _ -> Unix.sleepf 0.02)
+  @@ fun _server ~sock ~state_dir:_ ->
   (* A deadline that has already passed when execution starts leaves a
      zero carve: queries are skipped and the job reports degraded. *)
   let outcome, frames =
