@@ -541,8 +541,10 @@ let serve_cmd =
         }
       in
       let server =
-        Server.create ~config ~perception:prepared.Workflow.perception
-          ~builder:(Specfile.builder prepared) ~base:parsed ~base_spec:spec ()
+        try
+          Server.create ~config ~perception:prepared.Workflow.perception
+            ~builder:(Specfile.builder prepared) ~base:parsed ~base_spec:spec ()
+        with Failure msg | Sys_error msg -> spec_error "%s" msg
       in
       if Server.recovered server > 0 then
         Format.printf "recovered %d journaled job(s) from %s@."
@@ -870,7 +872,7 @@ let top_cmd =
               match Json.member "metrics" j with
               | None -> Error "reply carries no metrics"
               | Some m -> (
-                  match Dpv_core.Journal.parse_metrics ~line:0 m with
+                  match Dpv_core.Journal.parse_metrics m with
                   | Error e -> Error e
                   | Ok snap -> Ok (cursor, is_delta, snap))))
     in

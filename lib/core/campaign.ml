@@ -687,7 +687,6 @@ let run ?(milp_options = Verify.default_milp_options) ?(runners = 1) ?shard
         Atomic.incr journal_write_failures;
         Metrics.incr m_journal_failures 1)
   | _ -> ());
-  Option.iter Journal.close writer;
   {
     query_reports;
     (* Entries built *by this run* — with a caller-held persistent
@@ -731,15 +730,17 @@ let verdict_detail = function
 let buf_query_record b ~last ~label ~(outcome : outcome) ~from_cache
     ~from_journal ~attempts ~dense_retry ~deadline_retry =
   Printf.bprintf b "    {\n";
-  Printf.bprintf b "      \"label\": %S,\n" label;
-  Printf.bprintf b "      \"outcome\": %S,\n" (outcome_word outcome);
+  Printf.bprintf b "      \"label\": %s,\n" (Json.quote label);
+  Printf.bprintf b "      \"outcome\": \"%s\",\n" (outcome_word outcome);
   (match outcome with
   | Done r ->
-      Printf.bprintf b "      \"verdict\": %S,\n" (verdict_word r.Verify.verdict);
-      Printf.bprintf b "      \"detail\": %S,\n" (verdict_detail r.Verify.verdict)
+      Printf.bprintf b "      \"verdict\": \"%s\",\n"
+        (verdict_word r.Verify.verdict);
+      Printf.bprintf b "      \"detail\": %s,\n"
+        (Json.quote (verdict_detail r.Verify.verdict))
   | Crashed reason | Skipped reason ->
       Printf.bprintf b "      \"verdict\": null,\n";
-      Printf.bprintf b "      \"detail\": %S,\n" reason);
+      Printf.bprintf b "      \"detail\": %s,\n" (Json.quote reason));
   Printf.bprintf b "      \"from_cache\": %b,\n" from_cache;
   Printf.bprintf b "      \"from_journal\": %b,\n" from_journal;
   Printf.bprintf b "      \"attempts\": %d,\n" attempts;
@@ -749,7 +750,7 @@ let buf_query_record b ~last ~label ~(outcome : outcome) ~from_cache
   | Done r ->
       let s = r.Verify.milp_stats in
       Printf.bprintf b ",\n      \"wall_s\": %.4f,\n" r.Verify.wall_time_s;
-      Printf.bprintf b "      \"encoding\": %S,\n" r.Verify.encoding;
+      Printf.bprintf b "      \"encoding\": %s,\n" (Json.quote r.Verify.encoding);
       Printf.bprintf b "      \"num_binaries\": %d,\n" r.Verify.num_binaries;
       Printf.bprintf b
         "      \"milp\": { \"nodes\": %d, \"lps\": %d, \
@@ -770,7 +771,7 @@ let buf_query_record b ~last ~label ~(outcome : outcome) ~from_cache
   Printf.bprintf b "    }%s\n" (if last then "" else ",")
 
 (* BENCH_milp.json style: hand-rolled, schema-tagged, machine-readable.
-   %S escaping covers the strings we emit (ASCII labels and reasons). *)
+   Free-text strings (labels, reasons) go through [Json.quote]. *)
 let to_json report =
   let b = Buffer.create 2048 in
   Buffer.add_string b "{\n";

@@ -6,15 +6,16 @@
     content digest of the query itself, and [dpv campaign --resume]
     replays [Done] entries instead of re-solving them.
 
-    Durability model: the first write (and any write after a failure)
-    rewrites the whole journal to a temporary file in the same
-    directory, fsyncs it and [Sys.rename]s it over the target — the
-    atomic path that also compacts a resumed campaign's replayed
-    entries.  Steady-state appends then take an O(1) fast path: one
-    line written to an open append channel, flushed and fsynced.  A
-    crash mid-append can tear at most the final, unterminated line,
-    which {!load} drops; corruption anywhere else is still a hard
-    parse error.
+    Durability model: every write goes through {!Jsonl} and is
+    [fsync]ed before it returns, and a failed [fsync] is a failed write
+    ([Sys_error]); the writer keeps no open file between writes.  The
+    first write (and any write after a failure) replaces the whole
+    journal atomically (sibling tmp file, [fsync], rename), which also
+    compacts a resumed campaign's replayed entries.  Steady-state
+    writes append the one new line.  A crash mid-append can tear at
+    most the final, unterminated line, which {!load} drops; corruption
+    anywhere else is still a hard parse error.  Lines are built as
+    {!Json.t}, so any label (UTF-8 included) loads back byte for byte.
 
     Writes are serialized with a mutex: campaign runners settle queries
     concurrently.  Append latency lands in the [journal.append_ns]
@@ -68,12 +69,13 @@ val create : path:string -> entry list -> writer
     Writes nothing until the first {!append}. *)
 
 val append : writer -> entry -> unit
-(** Record one settled query and persist it durably (fast append when
-    the file is in a known-good state, atomic whole-file rewrite
-    otherwise).  Raises [Sys_error] if the filesystem write fails (or
-    under the [Journal_crash] fault-injection site); the in-memory
-    entry list is updated first and the writer falls back to the
-    rewrite path, so a later append re-persists everything. *)
+(** Record one settled query and persist it durably (one appended line
+    when the file is in a known-good state, an atomic whole-file
+    replace otherwise).  Raises [Sys_error] if any step of the write
+    fails, [fsync] included, or under the [Journal_crash]
+    fault-injection site; the in-memory entry list is updated first
+    and the next write replaces the whole file, so a later append
+    re-persists everything. *)
 
 val append_meta : writer -> meta -> unit
 (** Record the shard trailer (same durability contract as {!append});
@@ -82,11 +84,6 @@ val append_meta : writer -> meta -> unit
 
 val entries : writer -> entry list
 (** All entries recorded so far, in append order. *)
-
-val close : writer -> unit
-(** Close the fast-path append channel, if open.  Further appends
-    reopen it through the rewrite path; calling close is optional but
-    polite at campaign end. *)
 
 val load : path:string -> (entry list, string) result
 (** Parse a journal written by {!append}.  A final line without a
@@ -104,16 +101,15 @@ val load_with_meta :
 
 val save : path:string -> entry list -> unit
 (** Write a complete journal in one atomic pass (sibling tmp file,
-    fsync, rename) — no writer state, no fast path.  Used to
+    fsync, rename) — {!Jsonl.replace} with no writer state.  Used to
     materialize merged journals. *)
 
 val result_of_entry : entry -> Verify.result option
 (** The replayable result: [Some] exactly for [Done] entries. *)
 
-val parse_metrics :
-  line:int -> Json.t -> (Dpv_obs.Metrics.snapshot, string) result
+val parse_metrics : Json.t -> (Dpv_obs.Metrics.snapshot, string) result
 (** Parse a [dpv-metrics/1] JSON object (the ["metrics"] member of a
     meta trailer, a campaign report, or a serve metrics reply) back
-    into a snapshot.  [line] seeds error messages.  Derived fields
+    into a snapshot.  Derived fields
     ([p50_ns] etc.) are ignored; a missing ["rates"] object (pre
     dpv-obs/2) reads as empty. *)

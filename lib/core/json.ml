@@ -216,9 +216,9 @@ let of_string ?(max_depth = default_max_depth) ?max_bytes src =
 
 (* ---------------- writer ---------------- *)
 
-(* Compact single-line emission: what the serve joblog needs to persist
-   a submitted spec verbatim-enough to replay it (parse . to_string =
-   id up to float formatting, which %.17g makes lossless). *)
+(* Compact single-line emission, the format of every JSON-lines record
+   and protocol frame: [of_string (encode v) = Ok v], bit for bit on
+   numbers, since %.17g round-trips every finite double. *)
 let buf_escaped b s =
   Buffer.add_char b '"';
   String.iter
@@ -241,9 +241,9 @@ let rec buf_value b = function
   | Null -> Buffer.add_string b "null"
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
   | Num f ->
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Printf.bprintf b "%d" (int_of_float f)
-      else Printf.bprintf b "%.17g" f
+      (* Integers print without a fraction below 1e17, and -0.0 keeps
+         its sign. *)
+      Printf.bprintf b "%.17g" f
   | Str s -> buf_escaped b s
   | Arr l ->
       Buffer.add_char b '[';
@@ -268,6 +268,8 @@ let encode v =
   let b = Buffer.create 256 in
   buf_value b v;
   Buffer.contents b
+
+let quote s = encode (Str s)
 
 let member key = function
   | Obj fields -> List.assoc_opt key fields

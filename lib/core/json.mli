@@ -1,11 +1,12 @@
-(** A minimal JSON reader for campaign specification files.
+(** A minimal JSON reader and writer.
 
-    The project deliberately carries no external JSON dependency (reports
-    are emitted with [Printf]); this covers the reading side for the
-    small configuration documents [dpv campaign] consumes.  It parses
-    standard JSON with two simplifications: numbers are always [float],
-    and [\uXXXX] escapes outside the basic multilingual plane are not
-    recombined from surrogate pairs. *)
+    The project deliberately carries no external JSON dependency.  This
+    reads campaign specs, journals and protocol frames, and writes the
+    JSON-lines records ({!Jsonl}) and frames; the multi-line reports
+    are laid out with [Printf], quoting their strings with {!quote}.
+    It parses standard JSON with two simplifications: numbers are
+    always [float], and [\uXXXX] escapes outside the basic
+    multilingual plane are not recombined from surrogate pairs. *)
 
 type t =
   | Null
@@ -32,7 +33,13 @@ val of_string : ?max_depth:int -> ?max_bytes:int -> string -> (t, string) result
 
 val encode : t -> string
 (** Compact (single-line) emission; [of_string (encode v)] round-trips
-    every value this reader produces. *)
+    every value this reader produces, finite numbers bit for bit
+    ([-0.0] included).  Strings are emitted byte for byte apart from
+    the JSON escapes, so UTF-8 text stays UTF-8. *)
+
+val quote : string -> string
+(** [quote s] is [encode (Str s)]: [s] as a quoted JSON string
+    literal, for emitters that lay out their own lines. *)
 
 val member : string -> t -> t option
 (** Object field lookup; [None] on missing keys and non-objects. *)

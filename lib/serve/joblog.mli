@@ -5,7 +5,7 @@
     [accepted] on disk (spec included, verbatim) before any executor
     can start it, so SIGKILL at any instant leaves either no trace of
     a job or enough to re-run it.  Restart recovery is
-    {!load} + {!pending}: accepted events with no finished record are
+    {!recover} + {!pending}: accepted events with no finished record are
     re-submitted from their persisted specs, and each job's own
     campaign journal then replays whatever queries already settled —
     no accepted job is ever lost, no settled verdict re-solved. *)
@@ -29,15 +29,23 @@ type event =
       (** the submitter vanished mid-stream; the job ran on *)
 
 val append : path:string -> event -> unit
-(** Append one event and [fsync].  Raises [Sys_error]/[Unix_error] on
-    I/O failure — the server treats an unjournalable job as
-    unacceptable (the client gets an error, not a silent
-    non-guarantee). *)
+(** Append one event and [fsync] ({!Dpv_core.Jsonl.append}).  Raises
+    [Sys_error] on any I/O failure, [fsync] included — the server
+    treats an unjournalable job as unacceptable (the client gets an
+    error, not a silent non-guarantee). *)
 
 val load : path:string -> (event list, string) result
-(** All events, in append order.  A missing file is [Ok []]; a torn
-    final line (crash mid-append) is dropped; corruption anywhere else
-    is an [Error] naming the line. *)
+(** All events, in append order.  A missing file is [Ok []].  A final
+    line with no trailing newline that does not decode is the torn
+    tail of a crash mid-append and is dropped; any other bad line, a
+    newline-terminated final one included, is an [Error "line N: ..."]
+    ({!Dpv_core.Jsonl.load}). *)
+
+val recover : path:string -> (event list, string) result
+(** Restart recovery: {!load}, then atomically rewrite the file from
+    the loaded events ({!Dpv_core.Jsonl.replace}), so a torn tail the
+    load dropped cannot end up glued to the next {!append}.  Raises
+    [Sys_error] if the rewrite fails. *)
 
 val pending :
   event list ->

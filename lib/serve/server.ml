@@ -208,11 +208,12 @@ let slow_lines ~trace ~job ~slow_ms events =
         let t1 = ts + dur in
         Some
           (Printf.sprintf
-             "{\"slow_query\": 1, \"trace\": %S, \"job\": %S, \"span\": %S, \
-              \"label\": %S, \"wall_ms\": %.3f, \"threshold_ms\": %.3f, \
+             "{\"slow_query\": 1, \"trace\": %s, \"job\": %s, \"span\": %s, \
+              \"label\": %s, \"wall_ms\": %.3f, \"threshold_ms\": %.3f, \
               \"phases\": {\"resolve_bounds_ms\": %.3f, \"encode_ms\": %.3f, \
               \"tighten_ms\": %.3f, \"milp_ms\": %.3f}}"
-             trace job name label (ms dur) slow_ms
+             (Json.quote trace) (Json.quote job) (Json.quote name)
+             (Json.quote label) (ms dur) slow_ms
              (phase_ms ~t0:ts ~t1 "verify.resolve-bounds")
              (phase_ms ~t0:ts ~t1 "campaign.shared-encode")
              (phase_ms ~t0:ts ~t1 "tighten.feature-box")
@@ -599,9 +600,12 @@ let create ?config ?before_execute ~perception ~builder ~base ~base_spec () =
   mkdir_p config.state_dir;
   let joblog_path = Filename.concat config.state_dir "joblog.jsonl" in
   let pending =
-    match Joblog.load ~path:joblog_path with
+    match Joblog.recover ~path:joblog_path with
     | Ok events -> Joblog.pending events
-    | Error _ -> []
+    | Error e ->
+        (* Recovering from a damaged joblog would silently drop every
+           job it records: refuse to start instead. *)
+        failwith (Printf.sprintf "unreadable joblog %s: %s" joblog_path e)
   in
   let t =
     {

@@ -66,7 +66,9 @@ val create :
     refused.  [before_execute] (tests) runs on the executor thread
     with the job id just before each job starts.  Ignores [SIGPIPE]
     process-wide — a vanished peer must be an error result, not a
-    kill. *)
+    kill.  Raises [Failure] naming the file and line when the joblog
+    does not load: recovery refuses to start rather than silently
+    drop the accepted jobs it records. *)
 
 val recovered : t -> int
 (** Jobs re-queued from the joblog at startup. *)

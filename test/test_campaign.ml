@@ -414,6 +414,35 @@ let test_shard_journals_merge () =
         (det_counter "milp.nodes" whole.Campaign.metrics)
         (jget "milp.nodes" (Json.to_int (mem "milp.nodes" counters)))
 
+(* A label outside printable ASCII (UTF-8, a tab, quotes) must survive
+   the journal, the resume and the report byte for byte. *)
+let test_utf8_label_journals_and_resumes () =
+  let label = "virage-\xc3\xa9\t\"q\"" in
+  let qs =
+    [
+      Campaign.query ~label ~characterizer ~psi:(risk_ge 0.9)
+        ~bounds:(Verify.Data_box visited_features) ();
+    ]
+  in
+  with_temp_file @@ fun path ->
+  ignore (Campaign.run ~runners:1 ~journal:path ~perception qs : Campaign.report);
+  let entries =
+    match Journal.load ~path with
+    | Ok es -> es
+    | Error e -> Alcotest.failf "journal with a UTF-8 label unreadable: %s" e
+  in
+  Alcotest.(check (list string)) "journaled label is byte-identical" [ label ]
+    (List.map (fun (e : Journal.entry) -> e.Journal.label) entries);
+  let resumed = Campaign.run ~runners:1 ~resume:entries ~perception qs in
+  Alcotest.(check int) "the query replays" 1 resumed.Campaign.resumed;
+  match Json.of_string (Campaign.to_json resumed) with
+  | Error e -> Alcotest.failf "report is not valid JSON: %s" e
+  | Ok j ->
+      Alcotest.(check (list string)) "report label is byte-identical" [ label ]
+        (List.map
+           (fun q -> jget "label" (Json.to_string (mem "label" q)))
+           (jget "queries" (Json.to_list (mem "queries" j))))
+
 let test_worst_exit_code_precedence () =
   let entry outcome =
     {
@@ -451,6 +480,8 @@ let tests =
       test_empty_shard_report_valid;
     Alcotest.test_case "shard journals merge to the whole campaign" `Quick
       test_shard_journals_merge;
+    Alcotest.test_case "utf-8 label journals and resumes" `Quick
+      test_utf8_label_journals_and_resumes;
     Alcotest.test_case "worst exit code precedence" `Quick
       test_worst_exit_code_precedence;
   ]

@@ -21,6 +21,7 @@ let () =
       ("controller", Test_controller.tests);
       ("core", Test_core.tests);
       ("campaign", Test_campaign.tests);
+      ("journal", Test_journal.tests);
       ("extensions", Test_extensions.tests);
       ("certificate", Test_certificate.tests);
       ("determinism", Test_workflow_determinism.tests);

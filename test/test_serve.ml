@@ -273,6 +273,35 @@ let test_joblog_mid_file_corruption_is_error () =
       Alcotest.(check bool) ("error names the line: " ^ e) true (contains e "1")
   | Ok _ -> Alcotest.fail "mid-file corruption must be a hard error"
 
+let test_joblog_terminated_bad_tail_is_error () =
+  let dir = temp_dir "dpv-joblog" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let path = Filename.concat dir "joblog.jsonl" in
+  Joblog.append ~path (Joblog.Finished { job = "aaa"; exit_code = 0 });
+  (* A torn append never ends in a newline: this is damage. *)
+  let oc = open_out_gen [ Open_append ] 0o644 path in
+  output_string oc "{\"event\": \"accepted\", \"job\": \"bb\n";
+  close_out oc;
+  match Joblog.load ~path with
+  | Error e ->
+      Alcotest.(check bool) ("error names line 2: " ^ e) true (contains e "line 2")
+  | Ok _ -> Alcotest.fail "a newline-terminated bad final line must not load"
+
+let test_joblog_recover_trims_torn_tail () =
+  let dir = temp_dir "dpv-joblog" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let path = Filename.concat dir "joblog.jsonl" in
+  Joblog.append ~path (Joblog.Finished { job = "aaa"; exit_code = 0 });
+  let oc = open_out_gen [ Open_append ] 0o644 path in
+  output_string oc "{\"event\": \"accepted\", \"job\": \"bb";
+  close_out oc;
+  Alcotest.(check int) "recover keeps the complete event" 1
+    (List.length (ok (Joblog.recover ~path)));
+  (* Appends after a restart start on a fresh line, not on the tail. *)
+  Joblog.append ~path (Joblog.Client_gone { job = "ccc" });
+  Alcotest.(check int) "the next append loads cleanly" 2
+    (List.length (ok (Joblog.load ~path)))
+
 let test_joblog_missing_file_empty () =
   Alcotest.(check int) "missing joblog is an empty history" 0
     (List.length (ok (Joblog.load ~path:"/nonexistent/dpv-joblog.jsonl")))
@@ -301,7 +330,6 @@ let test_resume_skips_meta_trailer () =
       trace = "";
       metrics = Metrics.snapshot ();
     };
-  Journal.close w;
   (* Plain load skips the trailer, so a resume over a sharded journal
      replays every settled query without re-solving. *)
   let resumed_entries = ok (Journal.load ~path) in
@@ -404,6 +432,29 @@ let with_server ?(tune = fun c -> c) ?before_execute f =
       Server.request_drain server;
       Thread.join th)
     (fun () -> f server ~sock ~state_dir)
+
+(* Recovery over a damaged joblog would drop the jobs it records:
+   [Server.create] refuses, naming the file and the line. *)
+let test_serve_corrupt_joblog_refused () =
+  let dir = temp_dir "dpv-serve" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let spec, parsed, prepared = Lazy.force pipeline in
+  let state_dir = Filename.concat dir "state" in
+  Unix.mkdir state_dir 0o755;
+  write_file
+    (Filename.concat state_dir "joblog.jsonl")
+    "not json at all\n{\"event\": \"finished\", \"job\": \"a\", \"exit_code\": 0}\n";
+  match
+    Server.create ~config:(Server.default_config ~state_dir)
+      ~perception:prepared.Workflow.perception
+      ~builder:(Specfile.builder prepared) ~base:parsed ~base_spec:spec ()
+  with
+  | exception Failure msg ->
+      Alcotest.(check bool) ("names file and line: " ^ msg) true
+        (contains msg "joblog.jsonl" && contains msg "line 1")
+  | server ->
+      Server.request_drain server;
+      Alcotest.fail "a corrupt joblog must not start a server"
 
 let submit_collect sock request =
   let fd = Sclient.connect_unix ~path:sock in
@@ -1123,7 +1174,7 @@ let test_serve_metrics_since_cursor () =
             let echoed = Option.bind (Json.member "since" j) Json.to_int in
             let snap =
               match Json.member "metrics" j with
-              | Some m -> ok (Journal.parse_metrics ~line:0 m)
+              | Some m -> ok (Journal.parse_metrics m)
               | None -> Alcotest.fail "no metrics in reply"
             in
             (cursor, echoed, snap))
@@ -1392,9 +1443,14 @@ let tests =
     ("joblog: torn tail dropped", `Quick, test_joblog_torn_tail_dropped);
     ("joblog: mid-file corruption is error", `Quick,
      test_joblog_mid_file_corruption_is_error);
+    ("joblog: terminated bad tail is error", `Quick,
+     test_joblog_terminated_bad_tail_is_error);
+    ("joblog: recover trims a torn tail", `Quick,
+     test_joblog_recover_trims_torn_tail);
     ("joblog: missing file empty", `Quick, test_joblog_missing_file_empty);
     ("journal: resume skips meta trailer", `Quick,
      test_resume_skips_meta_trailer);
+    ("serve: corrupt joblog refused", `Slow, test_serve_corrupt_joblog_refused);
     ("serve: submit streams verdicts", `Slow,
      test_serve_submit_streams_verdicts);
     ("serve: concurrent clients", `Slow,
