@@ -108,6 +108,90 @@ type report = {
 
 let skip_reason = "budget exhausted"
 
+(* One prepared query on its way through phase 2: an unbisected query
+   (or one whose bisection planning raised) is a single unit over the
+   whole shared encoding ([plan = None]); a bisected one has a unit per
+   surviving sub-box and [plan = Some (discharged, total_subboxes)].
+   Each unit fills its own slot, then decrements [left]; whichever unit
+   brings it to zero finishes the query. *)
+type job = {
+  index : int;
+  key : string;
+  q : query;
+  shared : Encode.shared;
+  from_cache : bool;
+  plan : (int * int) option;
+  slots : (outcome * Retry.telemetry) option array;
+  left : int Atomic.t;
+}
+
+let report_of_entry q ~from_cache ~from_journal (e : Journal.entry) =
+  {
+    query = q;
+    outcome = e.Journal.outcome;
+    from_cache;
+    from_journal;
+    attempts = e.Journal.attempts;
+    dense_retry = e.Journal.dense_retry;
+    deadline_retry = e.Journal.deadline_retry;
+  }
+
+(* Fold a bisected query's unit slots, in sub-box order, into its
+   outcome.  Fault isolation is per sub-box: one crashed unit leaves its
+   siblings' verdicts standing, and the merged outcome degrades to
+   [Crashed] only when no UNSAFE witness was found elsewhere.  Failed
+   and unreached slots carry [Retry.clean], so the telemetry fold is
+   the solved units' own. *)
+let merge_units q ~discharged ~total_subboxes slots =
+  let dones =
+    List.filter_map (function Done r, _ -> Some r | _ -> None) slots
+  in
+  let crashes =
+    List.filter_map (function Crashed s, _ -> Some s | _ -> None) slots
+  in
+  let skips =
+    List.length (List.filter (function Skipped _, _ -> true | _ -> false) slots)
+  in
+  let t =
+    List.fold_left
+      (fun (acc : Retry.telemetry) (_, (u : Retry.telemetry)) ->
+        {
+          Retry.attempts = Stdlib.max acc.Retry.attempts u.Retry.attempts;
+          dense_retry = acc.Retry.dense_retry || u.Retry.dense_retry;
+          deadline_retry = acc.Retry.deadline_retry || u.Retry.deadline_retry;
+        })
+      Retry.clean slots
+  in
+  let merge ~unsolved =
+    Verify.merge_bisected
+      ~conditional:(Verify.is_conditional q.bounds)
+      ~discharged ~total_subboxes
+      ~wall_time_s:
+        (List.fold_left
+           (fun acc (r : Verify.result) -> acc +. r.Verify.wall_time_s)
+           0.0 dones)
+      ~unsolved dones
+  in
+  let unsafe_found =
+    List.exists
+      (fun (r : Verify.result) ->
+        match r.Verify.verdict with Verify.Unsafe _ -> true | _ -> false)
+      dones
+  in
+  let outcome =
+    (* A validated UNSAFE witness decides the query no matter what
+       happened to the other sub-boxes; below that the worst
+       infrastructure outcome wins so degradation is never hidden
+       behind a partial Safe. *)
+    if unsafe_found then
+      Done (merge ~unsolved:(List.length crashes + skips))
+    else
+      match crashes with
+      | reason :: _ -> Crashed (Printf.sprintf "sub-box crashed: %s" reason)
+      | [] -> if skips > 0 then Skipped skip_reason else Done (merge ~unsolved:0)
+  in
+  (outcome, t)
+
 let run ?(milp_options = Verify.default_milp_options) ?(runners = 1) ?shard
     ?budget_s ?journal ?resume ?(absint = false) ?bisect ?cache ?on_settled
     ?(trace = "") ~perception queries =
@@ -173,17 +257,7 @@ let run ?(milp_options = Verify.default_milp_options) ?(runners = 1) ?shard
       match Hashtbl.find_opt resume_tbl key with
       | None -> ()
       | Some e ->
-          let qr =
-            {
-              query = q;
-              outcome = e.Journal.outcome;
-              from_cache = false;
-              from_journal = true;
-              attempts = e.Journal.attempts;
-              dense_retry = e.Journal.dense_retry;
-              deadline_retry = e.Journal.deadline_retry;
-            }
-          in
+          let qr = report_of_entry q ~from_cache:false ~from_journal:true e in
           settled qr;
           reports.(i) <- Some qr)
     keyed;
@@ -216,7 +290,7 @@ let run ?(milp_options = Verify.default_milp_options) ?(runners = 1) ?shard
   let cache = match cache with Some c -> c | None -> create_cache () in
   let hits = ref 0 and misses = ref 0 in
   (* A failed build is this query's failure, not the campaign's: the
-     error is carried to [run_one] and recorded as a [Crashed] outcome.
+     error finishes that query as a [Crashed] outcome during planning.
      Failures are deliberately not cached — a later query on the same
      key retries the build (transient numerical trouble in the octagon
      pruning LPs should not condemn every query of the key).  A caller
@@ -251,401 +325,178 @@ let run ?(milp_options = Verify.default_milp_options) ?(runners = 1) ?shard
         | exception e ->
             Error (Printf.sprintf "encoding failed: %s" (Printexc.to_string e)))
   in
-  let prepared =
+  (* Query [i] is finished: the one place that builds its journal entry
+     and its report.  A [Skipped] query never ran a solve, so it reports
+     0 attempts whatever telemetry it is handed. *)
+  let finish i key q ~from_cache (t : Retry.telemetry) outcome =
+    let entry =
+      {
+        Journal.key;
+        label = q.label;
+        outcome;
+        attempts = (match outcome with Skipped _ -> 0 | _ -> t.Retry.attempts);
+        dense_retry = t.Retry.dense_retry;
+        deadline_retry = t.Retry.deadline_retry;
+      }
+    in
+    journal_append entry;
+    let qr = report_of_entry q ~from_cache ~from_journal:false entry in
+    settled qr;
+    reports.(i) <- Some qr
+  in
+  (* Phase 2a — sequential planning: every prepared query becomes a
+     list of schedulable units.  Without bisection (or when propagation
+     dies during planning, bisection being only an optimization) the
+     query is one unit over its whole shared encoding.  With bisection
+     each surviving sub-box is a unit, which is what lets
+     [plan_workers] see the real pending width: a campaign of one hard
+     query still fans out across the domain budget.  A failed encoding
+     or a fully discharged plan finishes its query right here. *)
+  let job i key q shared from_cache plan n =
+    {
+      index = i;
+      key;
+      q;
+      shared;
+      from_cache;
+      plan;
+      slots = Array.make n None;
+      left = Atomic.make n;
+    }
+  in
+  let units =
     Array.to_list keyed
     |> List.mapi (fun i (key, q) -> (i, key, q))
     |> List.filter (fun (i, _, _) -> reports.(i) = None)
     |> List.map (fun (i, key, q) -> (i, key, q, shared_for q))
+    |> List.concat_map (fun (i, key, q, shared_res) ->
+           match shared_res with
+           | Error reason ->
+               finish i key q ~from_cache:false Retry.clean (Crashed reason);
+               []
+           | Ok (shared, from_cache) -> (
+               let whole () =
+                 [ (job i key q shared from_cache None 1, 0, None) ]
+               in
+               match bisect with
+               | None -> whole ()
+               | Some b -> (
+                   let t0 = Clock.now_s () in
+                   match
+                     Verify.bisect_plan ~max_depth:b.Verify.max_depth
+                       ~suffix:(Encode.suffix_of_shared shared)
+                       ~head:q.characterizer.Characterizer.head ~psi:q.psi
+                       ~characterizer_margin:q.characterizer_margin
+                       (Encode.feature_box_of_shared shared)
+                   with
+                   | exception _ -> whole ()
+                   | { Verify.survivors = []; _ } as plan ->
+                       (* Every sub-box discharged by propagation alone. *)
+                       finish i key q ~from_cache Retry.clean
+                         (Done
+                            (Verify.merge_bisected
+                               ~conditional:(Verify.is_conditional q.bounds)
+                               ~discharged:plan.Verify.discharged
+                               ~total_subboxes:(Verify.plan_total plan)
+                               ~wall_time_s:(Clock.now_s () -. t0)
+                               ~unsolved:0 []));
+                       []
+                   | plan ->
+                       let j =
+                         job i key q shared from_cache
+                           (Some (plan.Verify.discharged, Verify.plan_total plan))
+                           (List.length plan.Verify.survivors)
+                       in
+                       List.mapi
+                         (fun si sub -> (j, si, Some sub))
+                         plan.Verify.survivors)))
   in
-  let prepared_arr = Array.of_list prepared in
-  (* Phase 2 — the solves fan out on the work-stealing pool over the
+  let finish_job j =
+    let slots =
+      Array.to_list j.slots
+      |> List.map
+           (Option.value ~default:(Crashed "worker abandoned task", Retry.clean))
+    in
+    let outcome, t =
+      match j.plan with
+      | None -> List.hd slots (* the whole query is its one unit *)
+      | Some (discharged, total_subboxes) ->
+          merge_units j.q ~discharged ~total_subboxes slots
+    in
+    finish j.index j.key j.q ~from_cache:j.from_cache t outcome
+  in
+  (* Phase 2b — the units fan out on the work-stealing pool over the
      now read-only cache.  [plan_workers] splits the domain budget:
-     enough unsolved units and the pool takes one coarse task per unit
-     with sequential inner solves; fewer units than runners (a thin
-     shard, or one huge query) and the spare domains move inside the
-     MILPs as subtree-search workers instead of idling.  Without
-     bisection the schedulable unit is the query; with it, each
-     surviving sub-box of a query's bisection plan. *)
-  (match bisect with
-  | None ->
-      let outer_runners, inner_workers =
-        plan_workers ~runners ~milp_workers:milp_options.Milp.workers
-          ~pending:(List.length prepared)
-      in
-      let run_one (_i, key, q, shared_res) =
-        let finish qr = settled qr; qr in
-        match shared_res with
-        | Error reason ->
-            journal_append
-              {
-                Journal.key;
-                label = q.label;
-                outcome = Crashed reason;
-                attempts = 1;
-                dense_retry = false;
-                deadline_retry = false;
-              };
-            finish
-            {
-              query = q;
-              outcome = Crashed reason;
-              from_cache = false;
-              from_journal = false;
-              attempts = 1;
-              dense_retry = false;
-              deadline_retry = false;
-            }
-        | Ok (shared, from_cache) ->
-        if Clock.expired deadline then begin
+     enough units and the pool takes one coarse task per unit with
+     sequential inner solves; fewer units than runners (a thin shard,
+     or one huge query) and the spare domains move inside the MILPs as
+     subtree-search workers instead of idling. *)
+  let outer_runners, inner_workers =
+    plan_workers ~runners ~milp_workers:milp_options.Milp.workers
+      ~pending:(List.length units)
+  in
+  let subbox_time_limit_s =
+    Option.bind bisect (fun b -> b.Verify.subbox_time_limit_s)
+  in
+  let run_unit (j, si, sub) =
+    let q = j.q in
+    let result =
+      (* Per-unit fault isolation: an exception (an injected crash, an
+         escaped solver failure) becomes this unit's [Crashed] slot and
+         leaves every other unit untouched. *)
+      try
+        if Clock.expired deadline then
           (* Recorded, not dropped: the report (and journal) say exactly
              which queries the budget never reached. *)
-          journal_append
-            {
-              Journal.key;
-              label = q.label;
-              outcome = Skipped skip_reason;
-              attempts = 0;
-              dense_retry = false;
-              deadline_retry = false;
-            };
-          finish
-          {
-            query = q;
-            outcome = Skipped skip_reason;
-            from_cache;
-            from_journal = false;
-            attempts = 0;
-            dense_retry = false;
-            deadline_retry = false;
-          }
-        end
+          (Skipped skip_reason, Retry.clean)
         else begin
           if Faults.fire Faults.Task_crash then failwith "injected task crash";
-          (* Carved at task start, so early queries cannot spend the whole
+          (* Carved at task start, so early units cannot spend the whole
              campaign budget before later ones get their slice checked. *)
+          let carved = Clock.carve deadline milp_options.Milp.time_limit_s in
+          let span, args, shared, time_limit_s, absint_seed =
+            match sub with
+            | None -> ("campaign.query", [], j.shared, carved, None)
+            | Some (box, seed) ->
+                ( "campaign.subbox",
+                  [ ("subbox", string_of_int si) ],
+                  Encode.restrict_shared j.shared ~feature_box:box,
+                  (match (carved, subbox_time_limit_s) with
+                  | None, t | t, None -> t
+                  | Some a, Some c -> Some (Stdlib.min a c)),
+                  Some seed )
+          in
           let options =
-            {
-              milp_options with
-              Milp.workers = inner_workers;
-              time_limit_s = Clock.carve deadline milp_options.Milp.time_limit_s;
-            }
+            { milp_options with Milp.workers = inner_workers; time_limit_s }
           in
           let result, t =
             Trace.with_span
-              ~args:[ ("label", q.label) ]
-              "campaign.query"
+              ~args:(("label", q.label) :: args)
+              span
               (fun () ->
                 Retry.solve ~options ~deadline (fun opts ->
-                    Verify.run_query ~milp_options:opts ~absint
+                    Verify.run_query ~milp_options:opts ~absint ?absint_seed
                       ~characterizer_margin:q.characterizer_margin ~shared
                       ~head:q.characterizer.Characterizer.head ~psi:q.psi
                       ~conditional:(Verify.is_conditional q.bounds) ()))
           in
-          (* Journal from inside the task: a campaign killed right after
-             this solve still has the verdict on disk. *)
-          journal_append
-            {
-              Journal.key;
-              label = q.label;
-              outcome = Done result;
-              attempts = t.Retry.attempts;
-              dense_retry = t.Retry.dense_retry;
-              deadline_retry = t.Retry.deadline_retry;
-            };
-          finish
-          {
-            query = q;
-            outcome = Done result;
-            from_cache;
-            from_journal = false;
-            attempts = t.Retry.attempts;
-            dense_retry = t.Retry.dense_retry;
-            deadline_retry = t.Retry.deadline_retry;
-          }
+          (Done result, t)
         end
-      in
-      let out = Pool.map_list ~workers:outer_runners run_one prepared in
-      (* Per-query fault isolation: an exception in one task (including a
-         worker-domain death) becomes that query's [Crashed] outcome; every
-         other cell of [out] is untouched by it. *)
-      Array.iteri
-        (fun j cell ->
-          let i, key, q, shared_res = prepared_arr.(j) in
-          let from_cache =
-            match shared_res with Ok (_, fc) -> fc | Error _ -> false
-          in
-          let crashed reason =
-            journal_append
-              {
-                Journal.key;
-                label = q.label;
-                outcome = Crashed reason;
-                attempts = 1;
-                dense_retry = false;
-                deadline_retry = false;
-              };
-            {
-              query = q;
-              outcome = Crashed reason;
-              from_cache;
-              from_journal = false;
-              attempts = 1;
-              dense_retry = false;
-              deadline_retry = false;
-            }
-          in
-          let qr =
-            match cell with
-            | Some (Ok r) -> r
-            | Some (Error e) ->
-                let qr = crashed (Printexc.to_string e) in
-                settled qr;
-                qr
-            | None ->
-                let qr = crashed "worker abandoned task" in
-                settled qr;
-                qr
-          in
-          reports.(i) <- Some qr)
-        out
-  | Some b ->
-      (* Phase 2a — sequential planning: split each query's feature box,
-         discharging cheap sub-boxes with DeepPoly propagation.  Queries
-         whose plan leaves no survivors are Safe right here; the rest
-         contribute one schedulable unit per surviving sub-box, which is
-         what lets [plan_workers] see the real pending width (a campaign
-         of one hard query still fans out across the domain budget). *)
-      let np = Array.length prepared_arr in
-      let plans = Array.make np None in
-      let units = ref [] in
-      Array.iteri
-        (fun j (i, key, q, shared_res) ->
-          match shared_res with
-          | Error reason ->
-              journal_append
-                {
-                  Journal.key;
-                  label = q.label;
-                  outcome = Crashed reason;
-                  attempts = 1;
-                  dense_retry = false;
-                  deadline_retry = false;
-                };
-              let qr =
-                {
-                  query = q;
-                  outcome = Crashed reason;
-                  from_cache = false;
-                  from_journal = false;
-                  attempts = 1;
-                  dense_retry = false;
-                  deadline_retry = false;
-                }
-              in
-              settled qr;
-              reports.(i) <- Some qr
-          | Ok (shared, from_cache) -> (
-              let t0 = Clock.now_s () in
-              let plan_res =
-                let feature_box = Encode.feature_box_of_shared shared in
-                match
-                  Verify.bisect_plan ~max_depth:b.Verify.max_depth
-                    ~suffix:(Encode.suffix_of_shared shared)
-                    ~head:q.characterizer.Characterizer.head ~psi:q.psi
-                    ~characterizer_margin:q.characterizer_margin feature_box
-                with
-                | plan -> Ok plan
-                | exception _ -> Error feature_box
-              in
-              match plan_res with
-              | Error feature_box ->
-                  (* Planning is an optimization; if propagation dies
-                     the whole box is solved as a single unit, with no
-                     root seed to hand the guide. *)
-                  plans.(j) <- Some (0, 1, from_cache);
-                  units := (j, 0, feature_box, None) :: !units
-              | Ok ({ Verify.survivors = []; _ } as plan) ->
-                  (* Every sub-box discharged by propagation alone. *)
-                  let result =
-                    Verify.merge_bisected
-                      ~conditional:(Verify.is_conditional q.bounds)
-                      ~discharged:plan.Verify.discharged
-                      ~total_subboxes:(Verify.plan_total plan)
-                      ~wall_time_s:(Clock.now_s () -. t0) ~unsolved:0 []
-                  in
-                  journal_append
-                    {
-                      Journal.key;
-                      label = q.label;
-                      outcome = Done result;
-                      attempts = 1;
-                      dense_retry = false;
-                      deadline_retry = false;
-                    };
-                  let qr =
-                    {
-                      query = q;
-                      outcome = Done result;
-                      from_cache;
-                      from_journal = false;
-                      attempts = 1;
-                      dense_retry = false;
-                      deadline_retry = false;
-                    }
-                  in
-                  settled qr;
-                  reports.(i) <- Some qr
-              | Ok plan ->
-                  plans.(j) <-
-                    Some
-                      ( plan.Verify.discharged,
-                        Verify.plan_total plan,
-                        from_cache );
-                  List.iteri
-                    (fun si (sub, sd) ->
-                      units := (j, si, sub, Some sd) :: !units)
-                    plan.Verify.survivors))
-        prepared_arr;
-      let units = List.rev !units in
-      let outer_runners, inner_workers =
-        plan_workers ~runners ~milp_workers:milp_options.Milp.workers
-          ~pending:(List.length units)
-      in
-      (* Phase 2b — solve the surviving sub-boxes on the pool, each on a
-         prefix rebuilt over its sub-box. *)
-      let run_unit (j, si, sub, sd) =
-        let _i, _key, q, shared_res = prepared_arr.(j) in
-        let shared =
-          match shared_res with Ok (s, _) -> s | Error _ -> assert false
-        in
-        if Clock.expired deadline then `Skipped
-        else begin
-          if Faults.fire Faults.Task_crash then failwith "injected task crash";
-          let budget =
-            let carved =
-              Clock.carve deadline milp_options.Milp.time_limit_s
-            in
-            match (carved, b.Verify.subbox_time_limit_s) with
-            | None, t | t, None -> t
-            | Some a, Some c -> Some (Stdlib.min a c)
-          in
-          let options =
-            {
-              milp_options with
-              Milp.workers = inner_workers;
-              time_limit_s = budget;
-            }
-          in
-          let sub_shared = Encode.restrict_shared shared ~feature_box:sub in
-          let result, t =
-            Trace.with_span
-              ~args:
-                [ ("label", q.label); ("subbox", string_of_int si) ]
-              "campaign.subbox"
-              (fun () ->
-                Retry.solve ~options ~deadline (fun opts ->
-                    Verify.run_query ~milp_options:opts ~absint
-                      ?absint_seed:sd
-                      ~characterizer_margin:q.characterizer_margin
-                      ~shared:sub_shared
-                      ~head:q.characterizer.Characterizer.head ~psi:q.psi
-                      ~conditional:(Verify.is_conditional q.bounds) ()))
-          in
-          `Done (result, t)
-        end
-      in
-      let out = Pool.map_list ~workers:outer_runners run_unit units in
-      (* Fold unit outcomes back per query.  Fault isolation is per
-         sub-box: one crashed unit leaves its siblings' verdicts
-         standing, and the merged outcome degrades to [Crashed] only
-         when no UNSAFE witness was found elsewhere. *)
-      let unit_arr = Array.of_list units in
-      let dones = Array.make np [] in
-      let crashes = Array.make np [] in
-      let skips = Array.make np 0 in
-      let attempts = Array.make np 0 in
-      let dense = Array.make np false in
-      let dl = Array.make np false in
-      Array.iteri
-        (fun k cell ->
-          let j, _si, _sub, _sd = unit_arr.(k) in
-          match cell with
-          | Some (Ok `Skipped) -> skips.(j) <- skips.(j) + 1
-          | Some (Ok (`Done (r, t))) ->
-              dones.(j) <- r :: dones.(j);
-              attempts.(j) <- Stdlib.max attempts.(j) t.Retry.attempts;
-              if t.Retry.dense_retry then dense.(j) <- true;
-              if t.Retry.deadline_retry then dl.(j) <- true
-          | Some (Error e) -> crashes.(j) <- Printexc.to_string e :: crashes.(j)
-          | None -> crashes.(j) <- "worker abandoned task" :: crashes.(j))
-        out;
-      Array.iteri
-        (fun j (i, key, q, _shared_res) ->
-          match plans.(j) with
-          | None -> ()
-          | Some (discharged, total_subboxes, from_cache) ->
-              let done_results = List.rev dones.(j) in
-              let crashed_reasons = List.rev crashes.(j) in
-              let merge ~unsolved =
-                Verify.merge_bisected
-                  ~conditional:(Verify.is_conditional q.bounds)
-                  ~discharged ~total_subboxes
-                  ~wall_time_s:
-                    (List.fold_left
-                       (fun acc (r : Verify.result) ->
-                         acc +. r.Verify.wall_time_s)
-                       0.0 done_results)
-                  ~unsolved done_results
-              in
-              let unsafe_found =
-                List.exists
-                  (fun (r : Verify.result) ->
-                    match r.Verify.verdict with
-                    | Verify.Unsafe _ -> true
-                    | _ -> false)
-                  done_results
-              in
-              let outcome =
-                (* A validated UNSAFE witness decides the query no matter
-                   what happened to the other sub-boxes; below that the
-                   worst infrastructure outcome wins so degradation is
-                   never hidden behind a partial Safe. *)
-                if unsafe_found then
-                  Done
-                    (merge
-                       ~unsolved:(List.length crashed_reasons + skips.(j)))
-                else
-                  match crashed_reasons with
-                  | reason :: _ ->
-                      Crashed (Printf.sprintf "sub-box crashed: %s" reason)
-                  | [] ->
-                      if skips.(j) > 0 then Skipped skip_reason
-                      else Done (merge ~unsolved:0)
-              in
-              let att = Stdlib.max 1 attempts.(j) in
-              journal_append
-                {
-                  Journal.key;
-                  label = q.label;
-                  outcome;
-                  attempts = att;
-                  dense_retry = dense.(j);
-                  deadline_retry = dl.(j);
-                };
-              let qr =
-                {
-                  query = q;
-                  outcome;
-                  from_cache;
-                  from_journal = false;
-                  attempts = att;
-                  dense_retry = dense.(j);
-                  deadline_retry = dl.(j);
-                }
-              in
-              settled qr;
-              reports.(i) <- Some qr)
-        prepared_arr);
+      with e -> (Crashed (Printexc.to_string e), Retry.clean)
+    in
+    j.slots.(si) <- Some result;
+    (* Finish from inside the task: a campaign killed right after this
+       query's last unit still has its verdict on disk. *)
+    if Atomic.fetch_and_add j.left (-1) = 1 then finish_job j
+  in
+  let (_ : (unit, exn) result option array) =
+    Pool.map_list ~workers:outer_runners run_unit units
+  in
+  (* A unit the pool never started leaves its query unfinished; its
+     empty slot reads as "worker abandoned task". *)
+  List.iter
+    (fun (j, _, _) -> if reports.(j.index) = None then finish_job j)
+    units;
   let query_reports =
     Array.to_list reports
     |> List.map (function
@@ -771,8 +622,10 @@ let buf_query_record b ~last ~label ~(outcome : outcome) ~from_cache
   Printf.bprintf b "    }%s\n" (if last then "" else ",")
 
 (* BENCH_milp.json style: hand-rolled, schema-tagged, machine-readable.
-   Free-text strings (labels, reasons) go through [Json.quote]. *)
-let to_json report =
+   Free-text strings (labels, reasons) go through [Json.quote].  The
+   header is [report]'s totals; [buf_record] lays out each of [records]
+   in the "queries" array. *)
+let campaign_json report records buf_record =
   let b = Buffer.create 2048 in
   Buffer.add_string b "{\n";
   Printf.bprintf b "  \"schema\": \"dpv-campaign/2\",\n";
@@ -799,16 +652,17 @@ let to_json report =
   Metrics.buf_snapshot ~indent:"  " b report.metrics;
   Buffer.add_string b ",\n";
   Printf.bprintf b "  \"queries\": [\n";
-  let n = List.length report.query_reports in
-  List.iteri
-    (fun i qr ->
-      buf_query_record b ~last:(i = n - 1) ~label:qr.query.label
-        ~outcome:qr.outcome ~from_cache:qr.from_cache
-        ~from_journal:qr.from_journal ~attempts:qr.attempts
-        ~dense_retry:qr.dense_retry ~deadline_retry:qr.deadline_retry)
-    report.query_reports;
+  let n = List.length records in
+  List.iteri (fun i r -> buf_record b ~last:(i = n - 1) r) records;
   Buffer.add_string b "  ]\n}\n";
   Buffer.contents b
+
+let to_json report =
+  campaign_json report report.query_reports (fun b ~last qr ->
+      buf_query_record b ~last ~label:qr.query.label ~outcome:qr.outcome
+        ~from_cache:qr.from_cache ~from_journal:qr.from_journal
+        ~attempts:qr.attempts ~dense_retry:qr.dense_retry
+        ~deadline_retry:qr.deadline_retry)
 
 let save_json report ~path =
   let oc = open_out path in
@@ -895,46 +749,33 @@ let merge_journals shards =
   let metas = List.concat_map snd shards in
   (entries, metas)
 
-(* Exit-code severity for a merged journal, same precedence the CLI
-   applies to a live campaign: unsafe (1) dominates — a safety
-   counterexample must never be masked by infrastructure trouble —
-   then degraded (4: crashed or skipped queries), then unknown (2),
-   then clean (0). *)
-let worst_exit_code entries =
-  let code_of (e : Journal.entry) =
-    match e.Journal.outcome with
-    | Done r -> (
-        match r.Verify.verdict with
-        | Verify.Unsafe _ -> 1
-        | Verify.Unknown _ -> 2
-        | Verify.Safe _ -> 0)
-    | Crashed _ | Skipped _ -> 4
-  in
+(* Exit-code severity, one ladder for merged journals and live
+   reports alike: unsafe (1) dominates — a safety counterexample must
+   never be masked by infrastructure trouble — then degraded (4: crashed
+   or skipped queries), then unknown (2), then clean (0). *)
+let exit_code_of = function
+  | Done { Verify.verdict = Verify.Unsafe _; _ } -> 1
+  | Done { Verify.verdict = Verify.Unknown _; _ } -> 2
+  | Done { Verify.verdict = Verify.Safe _; _ } -> 0
+  | Crashed _ | Skipped _ -> 4
+
+let worst_code codes =
   let severity = function 1 -> 3 | 4 -> 2 | 2 -> 1 | _ -> 0 in
   List.fold_left
-    (fun worst e ->
-      let c = code_of e in
-      if severity c > severity worst then c else worst)
-    0 entries
+    (fun worst c -> if severity c > severity worst then c else worst)
+    0 codes
 
-(* Same severity ladder over a live report — the single definition the
-   CLI campaign command and the serve daemon both answer with, so a
-   streamed job and its batch twin can never disagree on the code. *)
+let worst_exit_code entries =
+  worst_code
+    (List.map (fun (e : Journal.entry) -> exit_code_of e.Journal.outcome) entries)
+
+(* The single definition the CLI campaign command and the serve daemon
+   both answer with, so a streamed job and its batch twin can never
+   disagree on the code. *)
 let report_exit_code report =
-  let any p = List.exists p report.query_reports in
-  let unsafe =
-    any (fun r ->
-        match r.outcome with
-        | Done { Verify.verdict = Verify.Unsafe _; _ } -> true
-        | _ -> false)
-  in
-  let unknown =
-    any (fun r ->
-        match r.outcome with
-        | Done { Verify.verdict = Verify.Unknown _; _ } -> true
-        | _ -> false)
-  in
-  if unsafe then 1 else if report.degraded then 4 else if unknown then 2 else 0
+  worst_code
+    ((if report.degraded then [ 4 ] else [])
+    @ List.map (fun qr -> exit_code_of qr.outcome) report.query_reports)
 
 (* The dpv-campaign/2 report of a merged partition, rebuilt from what
    the shard journals persist.  Whole-campaign totals come from the
@@ -967,35 +808,27 @@ let merged_to_json ~entries ~metas =
       0.0 metas
   in
   let misses = counter "campaign.cache_misses" in
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n";
-  Printf.bprintf b "  \"schema\": \"dpv-campaign/2\",\n";
-  Printf.bprintf b "  \"runners\": %d,\n" runners;
-  Printf.bprintf b "  \"shard\": null,\n";
-  Printf.bprintf b "  \"budget_s\": null,\n";
-  Printf.bprintf b "  \"total_wall_s\": %.4f,\n" total_wall_s;
-  Printf.bprintf b "  \"degraded\": %b,\n" (crashed > 0 || skipped > 0);
-  Printf.bprintf b "  \"crashed\": %d,\n" crashed;
-  Printf.bprintf b "  \"skipped\": %d,\n" skipped;
-  Printf.bprintf b "  \"retried\": %d,\n" retried;
-  Printf.bprintf b "  \"resumed\": %d,\n" (List.length entries);
-  Printf.bprintf b "  \"journal_write_failures\": %d,\n"
-    (counter "journal.write_failures");
-  Printf.bprintf b
-    "  \"cache\": { \"entries\": %d, \"hits\": %d, \"misses\": %d },\n" misses
-    (counter "campaign.cache_hits")
-    misses;
-  Buffer.add_string b "  \"metrics\": ";
-  Metrics.buf_snapshot ~indent:"  " b metrics;
-  Buffer.add_string b ",\n";
-  Printf.bprintf b "  \"queries\": [\n";
-  let n = List.length entries in
-  List.iteri
-    (fun i (e : Journal.entry) ->
-      buf_query_record b ~last:(i = n - 1) ~label:e.Journal.label
-        ~outcome:e.Journal.outcome ~from_cache:false ~from_journal:true
-        ~attempts:e.Journal.attempts ~dense_retry:e.Journal.dense_retry
+  (* The header is the report the journals describe; its per-query
+     records come from the entries instead. *)
+  let header =
+    {
+      query_reports = [];
+      cache = { entries = misses; hits = counter "campaign.cache_hits"; misses };
+      runners;
+      shard = None;
+      budget_s = None;
+      total_wall_s;
+      degraded = crashed > 0 || skipped > 0;
+      crashed;
+      skipped;
+      retried;
+      resumed = List.length entries;
+      journal_write_failures = counter "journal.write_failures";
+      metrics;
+    }
+  in
+  campaign_json header entries (fun b ~last (e : Journal.entry) ->
+      buf_query_record b ~last ~label:e.Journal.label ~outcome:e.Journal.outcome
+        ~from_cache:false ~from_journal:true ~attempts:e.Journal.attempts
+        ~dense_retry:e.Journal.dense_retry
         ~deadline_retry:e.Journal.deadline_retry)
-    entries;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b

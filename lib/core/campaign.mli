@@ -168,11 +168,14 @@ val run :
 
     [on_settled] is invoked once per query as its outcome settles
     (solved, crashed, skipped, or replayed from the resume journal) —
-    the hook behind streamed serve verdicts.  It is called from worker
-    domains for solved queries, so it must be thread-safe; exceptions
-    it raises are swallowed (observability must not kill the solve).
-    Order is settle order, not input order — the report still lists
-    queries in input order.
+    the hook behind streamed serve verdicts.  Every query that reaches
+    the pool is split into units (the whole query, or one unit per
+    surviving sub-box under [bisect]); the worker domain that finishes
+    a query's last unit journals it and then calls [on_settled], with
+    or without bisection.  The hook must therefore be thread-safe;
+    exceptions it raises are swallowed (observability must not kill
+    the solve).  Order is settle order, not input order — the report
+    still lists queries in input order.
 
     [absint] (default false) arms the DeepPoly branch-and-bound guide
     on every solve (see {!Verify.run_query}).  [bisect] (default off)
@@ -181,13 +184,15 @@ val run :
     no solve at all, and each surviving sub-box becomes its own
     schedulable unit — so {!plan_workers} sees the true pending width
     and a campaign of one hard query still fans out across the domain
-    budget.  Per-query verdicts are merged soundly
+    budget.  Per-query verdicts are merged soundly, in sub-box order
     ({!Verify.merge_bisected}); a validated UNSAFE witness in any
     sub-box decides its query even if sibling sub-boxes crashed, and
     otherwise one crashed (resp. budget-skipped) sub-box degrades the
-    query to [Crashed] (resp. [Skipped]).  The journal records one
-    merged entry per query, so resume and sharding are oblivious to
-    bisection.
+    query to [Crashed] (resp. [Skipped], with 0 attempts).  The journal
+    records one merged entry per query, appended by the worker that
+    finishes the query's last sub-box — so a bisected campaign killed
+    midway keeps every finished query on disk, and resume and sharding
+    are oblivious to bisection.
 
     [runners] (default 1) is the campaign's total domain budget.
     {!plan_workers} splits it between the query pool and the inner

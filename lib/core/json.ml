@@ -219,24 +219,6 @@ let of_string ?(max_depth = default_max_depth) ?max_bytes src =
 (* Compact single-line emission, the format of every JSON-lines record
    and protocol frame: [of_string (encode v) = Ok v], bit for bit on
    numbers, since %.17g round-trips every finite double. *)
-let buf_escaped b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\b' -> Buffer.add_string b "\\b"
-      | '\012' -> Buffer.add_string b "\\f"
-      | c when Char.code c < 0x20 ->
-          Printf.bprintf b "\\u%04x" (Char.code c)
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
 let rec buf_value b = function
   | Null -> Buffer.add_string b "null"
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
@@ -244,7 +226,7 @@ let rec buf_value b = function
       (* Integers print without a fraction below 1e17, and -0.0 keeps
          its sign. *)
       Printf.bprintf b "%.17g" f
-  | Str s -> buf_escaped b s
+  | Str s -> Dpv_obs.Jstring.buf_quoted b s
   | Arr l ->
       Buffer.add_char b '[';
       List.iteri
@@ -258,7 +240,7 @@ let rec buf_value b = function
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_string b ", ";
-          buf_escaped b k;
+          Dpv_obs.Jstring.buf_quoted b k;
           Buffer.add_string b ": ";
           buf_value b v)
         fields;

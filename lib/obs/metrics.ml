@@ -357,19 +357,20 @@ let buf_snapshot ?(indent = "") b snap =
   Printf.bprintf b "{\n%s  \"schema\": \"dpv-metrics/1\",\n" indent;
   Printf.bprintf b "%s  \"counters\": " indent;
   buf_obj b ~indent snap.snap_counters (fun (name, v) ->
-      Printf.bprintf b "%S: %d" name v);
+      Printf.bprintf b "%a: %d" Jstring.buf_quoted name v);
   Printf.bprintf b ",\n%s  \"gauges\": " indent;
   buf_obj b ~indent snap.snap_gauges (fun (name, v) ->
-      Printf.bprintf b "%S: %d" name v);
+      Printf.bprintf b "%a: %d" Jstring.buf_quoted name v);
   (* Sampled rate gauges live under their own key so shard-merging
      consumers cannot mistake them for summable or maxable-as-depth
      values; histograms additionally carry derived percentiles. *)
   Printf.bprintf b ",\n%s  \"rates\": " indent;
   buf_obj b ~indent snap.snap_rates (fun (name, v) ->
-      Printf.bprintf b "%S: %d" name v);
+      Printf.bprintf b "%a: %d" Jstring.buf_quoted name v);
   Printf.bprintf b ",\n%s  \"histograms\": " indent;
   buf_obj b ~indent snap.snap_histograms (fun (name, h) ->
-      Printf.bprintf b "%S: {\"count\": %d, \"sum_ns\": %d" name h.count h.sum;
+      Printf.bprintf b "%a: {\"count\": %d, \"sum_ns\": %d" Jstring.buf_quoted name
+        h.count h.sum;
       if h.count > 0 then
         Printf.bprintf b ", \"p50_ns\": %.0f, \"p90_ns\": %.0f, \"p99_ns\": %.0f"
           (quantile_of_hist h ~q:0.5)

@@ -143,7 +143,7 @@ let buf_args b args =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_string b ", ";
-      Printf.bprintf b "%S: %S" k v)
+      Printf.bprintf b "%a: %a" Jstring.buf_quoted k Jstring.buf_quoted v)
     args;
   Buffer.add_string b "}"
 
@@ -152,25 +152,25 @@ let buf_event b pid epoch ev =
   match ev with
   | Complete { name; ts_ns; dur_ns; tid; args } ->
       Printf.bprintf b
-        "{\"name\": %S, \"ph\": \"X\", \"ts\": %.3f, \"dur\": %.3f, \
+        "{\"name\": %a, \"ph\": \"X\", \"ts\": %.3f, \"dur\": %.3f, \
          \"pid\": %d, \"tid\": %d, \"args\": "
-        name (us ts_ns)
+        Jstring.buf_quoted name (us ts_ns)
         (float_of_int dur_ns /. 1e3)
         pid tid;
       buf_args b args;
       Buffer.add_string b "}"
   | Instant { name; ts_ns; tid; args } ->
       Printf.bprintf b
-        "{\"name\": %S, \"ph\": \"i\", \"s\": \"t\", \"ts\": %.3f, \
+        "{\"name\": %a, \"ph\": \"i\", \"s\": \"t\", \"ts\": %.3f, \
          \"pid\": %d, \"tid\": %d, \"args\": "
-        name (us ts_ns) pid tid;
+        Jstring.buf_quoted name (us ts_ns) pid tid;
       buf_args b args;
       Buffer.add_string b "}"
   | Thread_name { tid; label } ->
       Printf.bprintf b
         "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": %d, \
-         \"tid\": %d, \"args\": {\"name\": %S}}"
-        pid tid label
+         \"tid\": %d, \"args\": {\"name\": %a}}"
+        pid tid Jstring.buf_quoted label
 
 let json_of ~epoch evs =
   let pid = Unix.getpid () in

@@ -524,6 +524,87 @@ let test_campaign_bisect_matches_plain () =
   | Some n -> Alcotest.failf "bisect.subboxes counter stuck at %d" n
   | None -> Alcotest.fail "bisect.subboxes counter missing from metrics"
 
+module Journal = Dpv_core.Journal
+
+let milp_solves () =
+  Option.value ~default:0
+    (Metrics.counter_in (Metrics.snapshot ()) "milp.solves")
+
+(* A bisected query is journaled and settled by the unit that finishes
+   it, not after the whole pool drains: with one runner, the first
+   settled query's line is already on disk while later queries' solves
+   are still to come.  The journal then resumes without a solve. *)
+let test_campaign_bisect_journals_as_it_settles () =
+  (* Every query keeps at least one surviving sub-box under [bisect2]. *)
+  let queries () =
+    List.map
+      (fun (label, psi, bounds) ->
+        Campaign.query ~label ~characterizer ~psi ~bounds ())
+      [
+        ("reach-box", risk_ge 0.9, Verify.Data_box visited_features);
+        ("neg-oct", risk_le (-0.2), Verify.Data_octagon visited_features);
+        ("neg-oct-deep", risk_le (-0.8), Verify.Data_octagon visited_features);
+      ]
+  in
+  let path = Filename.temp_file "dpv_test_bisect" ".jsonl" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let before = milp_solves () in
+  (* [on_settled] swallows exceptions, so record and check afterwards. *)
+  let first = ref None in
+  let on_settled (qr : Campaign.query_report) =
+    if !first = None then
+      first :=
+        Some
+          ( qr.Campaign.query.Campaign.label,
+            (match Journal.load ~path with
+            | Ok es -> List.map (fun (e : Journal.entry) -> e.Journal.label) es
+            | Error _ -> []),
+            milp_solves () - before )
+  in
+  let report =
+    Campaign.run ~runners:1 ~absint:true ~bisect:bisect2 ~journal:path
+      ~on_settled ~perception (queries ())
+  in
+  let solves = milp_solves () - before in
+  Alcotest.(check bool) "bisected campaign is clean" false
+    report.Campaign.degraded;
+  (match !first with
+  | None -> Alcotest.fail "on_settled never called"
+  | Some (label, on_disk, at_first) ->
+      Alcotest.(check bool)
+        (label ^ ": journaled before it was settled")
+        true (List.mem label on_disk);
+      Alcotest.(check bool)
+        (Printf.sprintf "settled after %d of %d solves" at_first solves)
+        true (at_first < solves));
+  let entries =
+    match Journal.load ~path with
+    | Ok es -> es
+    | Error e -> Alcotest.failf "bisected journal unreadable: %s" e
+  in
+  let before = milp_solves () in
+  let resumed =
+    Campaign.run ~runners:1 ~absint:true ~bisect:bisect2 ~resume:entries
+      ~perception (queries ())
+  in
+  Alcotest.(check int) "resume runs no solve" 0 (milp_solves () - before);
+  let verdicts (r : Campaign.report) =
+    List.map
+      (fun (qr : Campaign.query_report) ->
+        match qr.Campaign.outcome with
+        | Campaign.Done res -> verdict_word res.Verify.verdict
+        | o -> Campaign.outcome_word o)
+      r.Campaign.query_reports
+  in
+  Alcotest.(check (list string)) "resumed verdicts unchanged" (verdicts report)
+    (verdicts resumed);
+  Alcotest.(check (list bool)) "every query replays from the journal"
+    [ true; true; true ]
+    (List.map
+       (fun (qr : Campaign.query_report) -> qr.Campaign.from_journal)
+       resumed.Campaign.query_reports)
+
 (* ---- incremental guide: scratch ≡ incremental, stale fault, seeds -- *)
 
 module Absguide = Dpv_core.Absguide
@@ -751,6 +832,8 @@ let tests =
       test_bisected_unsafe_witness_revalidates;
     Alcotest.test_case "campaign with bisect matches plain campaign" `Quick
       test_campaign_bisect_matches_plain;
+    Alcotest.test_case "bisected campaign journals as queries settle" `Quick
+      test_campaign_bisect_journals_as_it_settles;
     Alcotest.test_case "incremental ≡ scratch (sequential)" `Quick
       test_incremental_matches_scratch_sequential;
     Alcotest.test_case "incremental ≡ scratch (parallel)" `Quick

@@ -111,23 +111,45 @@ let test_campaign_cache_accounting () =
     [ false; true; false; true ] flags
 
 let test_campaign_zero_budget_skips_and_degrades () =
-  let report = Campaign.run ~runners:1 ~budget_s:0.0 ~perception (queries ()) in
+  (* Both unit shapes: whole queries, and bisected queries whose
+     surviving sub-boxes the budget never reaches.  A skipped query ran
+     no solve, so it reports 0 attempts either way.  Bisection planning
+     discharges unreach-box outright (a verdict that needs no budget), so
+     the bisected input keeps only the queries with surviving sub-boxes. *)
+  let surviving =
+    List.filter
+      (fun (q : Campaign.query) -> q.Campaign.label <> "unreach-box")
+      (queries ())
+  in
   List.iter
-    (fun (qr : Campaign.query_report) ->
-      match qr.Campaign.outcome with
-      | Campaign.Skipped _ -> ()
-      | Campaign.Done r ->
-          Alcotest.failf "%s: expected skip under zero budget, got %a"
-            qr.Campaign.query.Campaign.label Verify.pp_verdict r.Verify.verdict
-      | Campaign.Crashed reason ->
-          Alcotest.failf "%s: expected skip under zero budget, got crash: %s"
-            qr.Campaign.query.Campaign.label reason)
-    report.Campaign.query_reports;
-  Alcotest.(check bool) "report is degraded" true report.Campaign.degraded;
-  Alcotest.(check int) "all queries counted as skipped"
-    (List.length report.Campaign.query_reports)
-    report.Campaign.skipped;
-  Alcotest.(check int) "nothing crashed" 0 report.Campaign.crashed
+    (fun (bisect, qs) ->
+      let report =
+        Campaign.run ~runners:1 ~budget_s:0.0 ?bisect ~perception qs
+      in
+      List.iter
+        (fun (qr : Campaign.query_report) ->
+          let label = qr.Campaign.query.Campaign.label in
+          match qr.Campaign.outcome with
+          | Campaign.Skipped _ ->
+              Alcotest.(check int)
+                (label ^ ": a skipped query made no attempt")
+                0 qr.Campaign.attempts
+          | Campaign.Done r ->
+              Alcotest.failf "%s: expected skip under zero budget, got %a"
+                label Verify.pp_verdict r.Verify.verdict
+          | Campaign.Crashed reason ->
+              Alcotest.failf "%s: expected skip under zero budget, got crash: %s"
+                label reason)
+        report.Campaign.query_reports;
+      Alcotest.(check bool) "report is degraded" true report.Campaign.degraded;
+      Alcotest.(check int) "all queries counted as skipped"
+        (List.length report.Campaign.query_reports)
+        report.Campaign.skipped;
+      Alcotest.(check int) "nothing crashed" 0 report.Campaign.crashed)
+    [
+      (None, queries ());
+      (Some { Verify.max_depth = 2; subbox_time_limit_s = None }, surviving);
+    ]
 
 let jget label = function
   | Some v -> v

@@ -506,6 +506,34 @@ let test_span_nesting () =
         Alcotest.failf "inner [%f, %f] escapes outer [%f, %f]" i_start i_end
           o_start o_end)
 
+(* Span args carry user labels (campaign query names, served job
+   names): a label outside printable ASCII must come back byte for byte
+   through a standard JSON reader. *)
+let test_span_label_is_json () =
+  let label = "virage-\xc3\xa9\t\"q\"" in
+  with_trace (fun () ->
+      Trace.with_span ~args:[ ("label", label) ] "labelled" (fun () -> ());
+      let json =
+        match Json.of_string (Trace.to_json ()) with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "trace JSON does not parse: %s" e
+      in
+      let events =
+        Option.value ~default:[]
+          (Option.bind (Json.member "traceEvents" json) Json.to_list)
+      in
+      let labels =
+        List.filter_map
+          (fun ev ->
+            match Option.bind (Json.member "name" ev) Json.to_string with
+            | Some "labelled" ->
+                Option.bind (Json.member "args" ev) (fun a ->
+                    Option.bind (Json.member "label" a) Json.to_string)
+            | _ -> None)
+          events
+      in
+      Alcotest.(check (list string)) "label is byte-identical" [ label ] labels)
+
 let test_span_exception_reraised () =
   with_trace (fun () ->
       (try
@@ -877,6 +905,8 @@ let tests =
     Alcotest.test_case "trace context tags and filters events" `Quick
       test_trace_context_tags_events;
     Alcotest.test_case "spans nest" `Quick test_span_nesting;
+    Alcotest.test_case "span labels are JSON strings" `Quick
+      test_span_label_is_json;
     Alcotest.test_case "spans survive exceptions" `Quick
       test_span_exception_reraised;
     Alcotest.test_case "pool workers get labelled tracks" `Quick
